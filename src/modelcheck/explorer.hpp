@@ -28,25 +28,23 @@
 // opt-out keeps them verbatim. The reported result is bit-identical to the
 // original full-copy explorer in both modes.
 //
-// The hot loop itself is a staged batch pipeline (options.batched_expansion,
-// on by default — see docs/modelcheck.md "hot-path pipeline"): the frontier
-// is processed in fixed windows of kExpandWindow parents. Stage 1 decodes
-// the window's parent rows behind one batched spill fault-in; stage 2
-// generates every successor of the window into a flat packed-row staging
-// buffer, canonicalizing each row as it is staged (fused, so the component
-// pools intern in exactly the one-at-a-time order — stored-row bytes depend
-// on id assignment); stage 3 hashes the whole batch; stage 4 probes/inserts
-// in discovery order while software-prefetching the probe group of the entry
-// a few slots ahead, so the seen-table miss latency overlaps the probes in
-// flight. The seen table is a Swiss-table-style group-probing index
-// (util/flat_index.hpp): one 16-byte tag compare per group, cell memory
-// touched only for candidate slots. The opt-out preserves the per-successor
-// loop for differentials; verdicts, state counts, stored-row bytes and
-// counterexample schedules are bit-identical in both modes.
+// The hot loop is a staged batch pipeline (see docs/modelcheck.md "hot-path
+// pipeline"): the frontier is processed in fixed windows of kExpandWindow
+// parents. Stage 1 decodes the window's parent rows behind one batched
+// spill fault-in; stage 2 generates every successor of the window into a
+// flat packed-row staging buffer, canonicalizing each row as it is staged
+// (fused, so the component pools intern in discovery order — stored-row
+// bytes depend on id assignment); stage 3 hashes the whole batch; stage 4
+// probes/inserts in discovery order while software-prefetching the probe
+// group of the entry a few slots ahead, so the seen-table miss latency
+// overlaps the probes in flight. The seen table is a Swiss-table-style
+// group-probing index (util/flat_index.hpp): one 16-byte tag compare per
+// group, cell memory touched only for candidate slots.
 //
 // With options.symmetry the seen-table keys are orbit representatives under
 // the configuration's automorphism group (modelcheck/symmetry.hpp):
-// successors are canonicalized before dedup, which shrinks the stored state
+// successors are canonicalized before dedup — in the packed interned-id
+// word domain, by packed_canonicalizer — which shrinks the stored state
 // count by up to |G| <= n! while preserving reachability and every
 // G-invariant verdict. Counterexample schedules are stored against quotient
 // states, so they are mapped back to concrete schedules by folding the
@@ -73,14 +71,13 @@
 namespace anoncoord {
 
 /// Per-phase hot-loop breakdown of an exploration run. The four phase times
-/// partition the batched pipeline (they are measured as cycle_clock ticks and
-/// converted once per run against a wall-clock calibration, so each is a few
-/// rdtsc pairs per window, not per successor): expand = parent decode +
-/// successor generation, canonicalize = symmetry-kernel time inside the
-/// generation stage, probe = seen-table find/insert, encode = row-arena
-/// append. The unbatched loop reports only encode_ns and the probe counters
-/// (its other phases are interleaved per successor and bracketing them would
-/// cost more than they measure).
+/// partition the expansion loop (they are measured as cycle_clock ticks and
+/// converted once per run against a wall-clock calibration): expand = parent
+/// decode + successor generation, canonicalize = symmetry-kernel time inside
+/// the generation stage, probe = seen-table find/insert, encode = row-arena
+/// append. The probe-group counters come from the sequential engine's
+/// group-probing seen table; the parallel engine's seen table has no groups,
+/// so they stay zero there.
 struct explore_phase_stats {
   std::uint64_t expand_ns = 0;
   std::uint64_t canonicalize_ns = 0;
@@ -197,20 +194,6 @@ class explorer {
     /// runs. 0 keeps everything resident.
     std::uint64_t spill_budget_bytes = 0;
     std::string spill_dir;
-    /// Canonicalize successors in the packed interned-id word domain
-    /// (modelcheck/symmetry.hpp's packed_canonicalizer: per-element rename
-    /// memo tables + rank-row compare) instead of reconstructing states.
-    /// Verdicts, stored-state counts, element indices and counterexamples
-    /// are bit-identical either way — the opt-out preserves the
-    /// object-domain path for differentials, like compress_arena.
-    bool packed_canonicalization = true;
-    /// Process the frontier through the staged batch pipeline (windowed
-    /// parent decode -> flat successor staging -> batch hash -> prefetched
-    /// probe/insert) instead of one successor at a time. Verdicts, state
-    /// counts, stored-row bytes and counterexample schedules are
-    /// bit-identical either way — the opt-out preserves the per-successor
-    /// loop for differentials, like packed_canonicalization.
-    bool batched_expansion = true;
   };
 
   struct result {
@@ -261,15 +244,16 @@ class explorer {
   result explore(const state_predicate& is_bad = {}) {
     reset();
     result res;
-    scratch_.regs.assign(static_cast<std::size_t>(registers_), value_type{});
-    scratch_.procs = initial_machines_;
     {
-      canon_.regs = scratch_.regs;
-      canon_.procs = scratch_.procs;
+      canon_.regs.assign(static_cast<std::size_t>(registers_), value_type{});
+      canon_.procs = initial_machines_;
       const int elem =
           group_.canonicalize(canon_.regs, canon_.procs, cs_, &cstats_);
-      build_words(canon_);
-      intern_words(/*parent=*/-1, /*via=*/-1, elem);
+      std::vector<std::uint32_t> row;
+      for (const auto& r : canon_.regs) row.push_back(pool_.intern_value(r));
+      for (const auto& p : canon_.procs) row.push_back(pool_.intern_machine(p));
+      intern_row(row.data(), hash_words(row.data(), stride()),
+                 /*parent=*/-1, /*prow=*/nullptr, /*via=*/-1, elem);
     }
     if (is_bad && is_bad(canon_)) {
       res.bad_state = concrete_state(0);
@@ -278,8 +262,7 @@ class explorer {
       return res;
     }
 
-    res.complete = opt_.batched_expansion ? run_batched(res, is_bad)
-                                          : run_unbatched(res, is_bad);
+    res.complete = run(res, is_bad);
     finish(res);
     return res;
   }
@@ -354,12 +337,11 @@ class explorer {
   /// Interned-component statistics (the compact-store win the bench reports).
   const state_pool<Machine>& pool() const { return pool_; }
 
-  /// Per-phase hot-loop breakdown of the last explore() (see
-  /// explore_phase_stats for which fields each mode fills).
+  /// Per-phase hot-loop breakdown of the last explore().
   const explore_phase_stats& phase_counters() const { return phases_; }
 
   /// Row-storage bytes actually committed for the seen set (the bench's
-  /// bytes-per-state numerator; same accounting basis in both modes).
+  /// bytes-per-state numerator; same accounting basis in both arena modes).
   std::uint64_t stored_row_bytes() const { return rows_.stored_bytes(); }
 
   /// Keyframe rows in the compressed store (diagnostics; 0 in verbatim mode
@@ -369,8 +351,8 @@ class explorer {
   /// Spill counters from the backing arena (all zero when spilling is off).
   arena_spill_stats spill_stats() const { return rows_.spill_stats(); }
 
-  /// Canonicalization prune counters for the last explore() (both domains;
-  /// all zero when the group is trivial).
+  /// Canonicalization prune counters for the last explore() (all zero when
+  /// the group is trivial).
   const canonicalize_stats& canonicalize_counters() const { return cstats_; }
 
  private:
@@ -381,9 +363,7 @@ class explorer {
   void reset() {
     pool_.clear();
     cstats_ = canonicalize_stats{};
-    packed_ = opt_.packed_canonicalization && !group_.is_trivial() &&
-              symmetry_reducible_machine<Machine>;
-    if (packed_)
+    if (!group_.is_trivial())
       pk_.attach(&group_, &pool_, registers_,
                  static_cast<int>(initial_machines_.size()));
     row_store_options ropt;
@@ -393,11 +373,7 @@ class explorer {
     }
     rows_.configure(stride(), opt_.compress_arena, ropt);
     dcache_.configure(stride());
-    // The opt-out reproduces the previous pipeline end to end, seen table
-    // included: per-successor expansion probing the linear-probe table.
-    use_linear_ = !opt_.batched_expansion;
     index_.clear();
-    lindex_.clear();
     opc_.clear();
     tmemo_.clear();
     tindex_.clear();
@@ -416,127 +392,28 @@ class explorer {
     cmp_.assign(stride(), 0);
   }
 
-  /// The per-successor expansion loop (options.batched_expansion = false).
-  /// Returns whether the reachable set was fully explored; a safety
-  /// violation or the max_states cap stops early with false.
-  bool run_unbatched(result& res, const state_predicate& is_bad) {
-    const std::size_t m = static_cast<std::size_t>(registers_);
-    const std::size_t n = initial_machines_.size();
-    const bool reduce = !group_.is_trivial();
-    // Out-of-core runs expand the frontier in arena-offset order (BFS
-    // append order IS offset order) and batch the window's cold-page
-    // faults up front instead of dribbling them out one load at a time.
-    constexpr std::uint64_t kSpillWindow = 128;
-    std::uint64_t frontier = 0;
-    while (frontier < num_states()) {
-      if (num_states() >= opt_.max_states) return false;  // incomplete
-      if ((frontier & (kSpillWindow - 1)) == 0 && rows_.spill_enabled())
-        rows_.prefetch_rows(frontier, frontier + kSpillWindow, parent_.data(),
-                            dcache_);
-      const auto s = static_cast<std::int64_t>(frontier++);
-      prow_.resize(stride());
-      rows_.load(static_cast<std::uint64_t>(s), parent_.data(), prow_.data(),
-                 dcache_);
-      fill_state(prow_.data(), scratch_);
-      if (saved_.size() != n) saved_ = scratch_.procs;
-      // Quiescent point: refresh the packed kernel's rank snapshots once
-      // they fall behind the pools. Ids interned mid-expansion stay exact
-      // through the kernel's object-domain fallback.
-      if (packed_) pk_.maybe_refresh_ranks();
-      for (int p = 0; p < static_cast<int>(n); ++p) {
-        Machine& machine = scratch_.procs[static_cast<std::size_t>(p)];
-        const op_desc op = machine.peek();
-        if (op.kind == op_kind::none) continue;
-        const permutation& perm = naming_.of(p);
-        // Undo log: the machine that moves, and the register a write hits.
-        saved_[static_cast<std::size_t>(p)] = machine;
-        int written = -1;
-        value_type old_value{};
-        if (op.kind == op_kind::write) {
-          written = perm[static_cast<std::size_t>(op.index)];
-          old_value = scratch_.regs[static_cast<std::size_t>(written)];
-        }
-        permuted_vector_memory<value_type> view(scratch_.regs, perm);
-        machine.step(view);
-
-        std::int64_t idx;
-        bool fresh;
-        int elem = 0;
-        if (packed_) {
-          // Packed kernel: patch the parent's row (the stepped machine and
-          // at most one written register — same relative encoding as the
-          // non-reduced path), then canonicalize the row in the interned-id
-          // word domain. No state reconstruction per group element.
-          wbuf_.assign(prow_.begin(), prow_.end());
-          wbuf_[m + static_cast<std::size_t>(p)] =
-              pool_.intern_machine(machine);
-          if (written >= 0)
-            wbuf_[static_cast<std::size_t>(written)] = pool_.intern_value(
-                scratch_.regs[static_cast<std::size_t>(written)]);
-          elem = pk_.canonicalize_row(wbuf_.data(), pks_, cstats_);
-          std::tie(idx, fresh) = intern_words(s, p, elem);
-        } else if (reduce) {
-          canon_.regs = scratch_.regs;
-          canon_.procs = scratch_.procs;
-          elem = group_.canonicalize(canon_.regs, canon_.procs, cs_, &cstats_);
-          build_words(canon_);
-          std::tie(idx, fresh) = intern_words(s, p, elem);
-        } else {
-          // Relative encoding: the successor's row is the parent's row with
-          // the stepped machine and (at most) the written register patched.
-          wbuf_.assign(prow_.begin(), prow_.end());
-          wbuf_[m + static_cast<std::size_t>(p)] =
-              pool_.intern_machine(machine);
-          if (written >= 0)
-            wbuf_[static_cast<std::size_t>(written)] = pool_.intern_value(
-                scratch_.regs[static_cast<std::size_t>(written)]);
-          std::tie(idx, fresh) = intern_words(s, p, 0);
-        }
-        if (!fresh) ++res.dedup_hits;
-        edges_.emplace_back(static_cast<std::uint32_t>(s),
-                            static_cast<std::uint32_t>(idx));
-        if (fresh && is_bad) {
-          // The packed path never materialized the canonical state; the
-          // predicate (G-invariant by contract) runs on its reconstruction.
-          if (packed_) fill_state(wbuf_.data(), canon_);
-          if (is_bad(reduce ? canon_ : scratch_)) {
-            res.bad_state = concrete_state(idx);
-            res.bad_schedule = concrete_schedule(idx);
-            return false;
-          }
-        }
-        // Undo: restore the moved machine and the overwritten register.
-        machine = saved_[static_cast<std::size_t>(p)];
-        if (written >= 0)
-          scratch_.regs[static_cast<std::size_t>(written)] =
-              std::move(old_value);
-      }
-    }
-    return true;
-  }
-
   /// A successor staged by the batched pipeline, waiting for its probe.
   struct staged_succ {
-    std::uint32_t pslot;  ///< parent's slot within the window
-    std::int32_t via;     ///< process index that stepped
-    std::int32_t elem;    ///< canonicalizing group element
-    std::size_t hash;     ///< filled by the batch-hash stage
+    std::int32_t via;   ///< process index that stepped
+    std::int32_t elem;  ///< canonicalizing group element
+    std::size_t hash;   ///< filled by the batch-hash stage
   };
 
-  /// The staged batch pipeline (options.batched_expansion = true). Same
-  /// contract as run_unbatched, same observable effects bit for bit: the
-  /// component pools intern in identical order (canonicalization is fused
-  /// into the generation stage), rows are appended in identical order with
-  /// identical delta bases, the max_states cap is re-checked before each
-  /// parent's probe group, and the first violating fresh state in staged
-  /// order matches the unbatched violation point.
-  bool run_batched(result& res, const state_predicate& is_bad) {
+  /// The staged batch pipeline. Returns whether the reachable set was fully
+  /// explored; a safety violation or the max_states cap stops early with
+  /// false. Observable effects are those of a one-successor-at-a-time BFS:
+  /// the component pools intern in discovery order (canonicalization is
+  /// fused into the generation stage), rows are appended in discovery order
+  /// with their parent as delta base, the max_states cap is checked before
+  /// each parent's successors are probed, and the reported violation is the
+  /// first violating fresh state in discovery order.
+  bool run(result& res, const state_predicate& is_bad) {
     const std::size_t m = static_cast<std::size_t>(registers_);
     const std::size_t n = initial_machines_.size();
     const std::size_t st = stride();
     const bool reduce = !group_.is_trivial();
-    // Window size doubles as the spill fault-in window, so one prefetch_rows
-    // call per window replaces the unbatched loop's modulo check.
+    // Window size doubles as the spill fault-in window (one prefetch_rows
+    // call per window).
     constexpr std::uint64_t kExpandWindow = 128;
     // How far ahead of the probe cursor to warm seen-table groups. Far
     // enough to cover a memory round-trip at ~40 probes/us, near enough
@@ -559,106 +436,63 @@ class explorer {
                    dcache_);
       // Stage 2: generate every successor of the window into the flat
       // staging buffer. Canonicalization is fused here, successor by
-      // successor, so the component pools intern in exactly the
-      // one-at-a-time order — pool id values feed the delta/varint row
-      // encoding, so reordering them would change stored bytes.
+      // successor, so the component pools intern in discovery order — pool
+      // id values feed the delta/varint row encoding, so the order is part
+      // of the stored bytes.
+      //
+      // Generation runs on interned ids: a step is a pure function of
+      // (machine id, value id at the op's register) — that key captures
+      // plain reads, plain writes AND the CAS fallback (a write that reads
+      // its target first) — so the transition memo patches rows without
+      // reconstructing states, stepping machines or re-hashing components.
+      // Misses evaluate the real machine and intern the stepped machine,
+      // then the written value.
       staged_.clear();
       soff_.assign(wlen + 1, 0);
-      if (packed_) pk_.maybe_refresh_ranks();
-      if (!reduce || packed_) {
-        // Interned-id successor generation: a step is a pure function of
-        // (machine id, value id at the op's register) — that key captures
-        // plain reads, plain writes AND the CAS fallback (a write that
-        // reads its target first) — so the transition memo patches rows
-        // without reconstructing states, stepping machines or re-hashing
-        // components. Misses evaluate the real machine and intern in the
-        // same (machine, then written value) order the per-successor loop
-        // uses, and a component's first production always coincides with
-        // its producing pair's first occurrence, so pool id assignment —
-        // and with it every stored row byte — is identical.
-        for (std::size_t k = 0; k < wlen; ++k) {
-          const std::uint32_t* prow = wrows_.data() + k * st;
-          for (int p = 0; p < static_cast<int>(n); ++p) {
-            const std::uint32_t w = prow[m + static_cast<std::size_t>(p)];
-            const cached_op& oc = op_for(w);
-            if (oc.kind == op_kind::none) continue;
-            std::uint32_t vid_in = kNoValueId;
-            std::size_t phys = 0;
-            if (oc.kind != op_kind::internal) {
-              phys = static_cast<std::size_t>(
-                  naming_.of(p)[static_cast<std::size_t>(oc.index)]);
-              vid_in = prow[phys];
-            }
-            const std::uint64_t key = (std::uint64_t{w} << 32) | vid_in;
-            const auto kh = static_cast<std::size_t>(mix64(key));
-            std::uint32_t w_out, vid_out;
-            const std::uint32_t ti = tindex_.find(kh, [&](std::uint32_t i) {
-              return tmemo_[i].key == key;
-            });
-            if (ti != flat_index::npos) {
-              w_out = tmemo_[ti].mach;
-              vid_out = tmemo_[ti].value;
-            } else {
-              std::tie(w_out, vid_out) = eval_transition(w, oc, vid_in);
-              tindex_.insert(kh, static_cast<std::uint32_t>(tmemo_.size()));
-              tmemo_.push_back({key, w_out, vid_out});
-            }
-            std::uint32_t* row = srows_.data() + staged_.size() * st;
-            std::memcpy(row, prow, st * sizeof(std::uint32_t));
-            row[m + static_cast<std::size_t>(p)] = w_out;
-            if (oc.kind == op_kind::write) row[phys] = vid_out;
-            int elem = 0;
-            if (packed_) {
-              const std::uint64_t c0 = cycle_clock::now();
-              elem = pk_.canonicalize_row_batched(row, pks_, cstats_);
-              pt_canon_ += cycle_clock::now() - c0;
-            }
-            // is_bad is deferred to the probe stage: the staged row IS the
-            // (canonical) state, so fresh states reconstruct it there and
-            // duplicates never pay the predicate.
-            staged_.push_back({static_cast<std::uint32_t>(k), p, elem, 0});
+      if (reduce) pk_.maybe_refresh_ranks();
+      for (std::size_t k = 0; k < wlen; ++k) {
+        const std::uint32_t* prow = wrows_.data() + k * st;
+        for (int p = 0; p < static_cast<int>(n); ++p) {
+          const std::uint32_t w = prow[m + static_cast<std::size_t>(p)];
+          const cached_op& oc = op_for(w);
+          if (oc.kind == op_kind::none) continue;
+          std::uint32_t vid_in = kNoValueId;
+          std::size_t phys = 0;
+          if (oc.kind != op_kind::internal) {
+            phys = static_cast<std::size_t>(
+                naming_.of(p)[static_cast<std::size_t>(oc.index)]);
+            vid_in = prow[phys];
           }
-          soff_[k + 1] = static_cast<std::uint32_t>(staged_.size());
-        }
-      } else {
-        // Object-domain canonicalization (the packed_canonicalization
-        // opt-out under symmetry): the group canonicalizer needs real state
-        // objects, so this path keeps the materialize/step/undo flow.
-        for (std::size_t k = 0; k < wlen; ++k) {
-          const std::uint32_t* prow = wrows_.data() + k * st;
-          fill_state(prow, scratch_);
-          if (saved_.size() != n) saved_ = scratch_.procs;
-          for (int p = 0; p < static_cast<int>(n); ++p) {
-            Machine& machine = scratch_.procs[static_cast<std::size_t>(p)];
-            const op_desc op = machine.peek();
-            if (op.kind == op_kind::none) continue;
-            const permutation& perm = naming_.of(p);
-            saved_[static_cast<std::size_t>(p)] = machine;
-            int written = -1;
-            value_type old_value{};
-            if (op.kind == op_kind::write) {
-              written = perm[static_cast<std::size_t>(op.index)];
-              old_value = scratch_.regs[static_cast<std::size_t>(written)];
-            }
-            permuted_vector_memory<value_type> view(scratch_.regs, perm);
-            machine.step(view);
-
-            std::uint32_t* row = srows_.data() + staged_.size() * st;
-            canon_.regs = scratch_.regs;
-            canon_.procs = scratch_.procs;
+          const std::uint64_t key = (std::uint64_t{w} << 32) | vid_in;
+          const auto kh = static_cast<std::size_t>(mix64(key));
+          std::uint32_t w_out, vid_out;
+          const std::uint32_t ti = tindex_.find(kh, [&](std::uint32_t i) {
+            return tmemo_[i].key == key;
+          });
+          if (ti != flat_index::npos) {
+            w_out = tmemo_[ti].mach;
+            vid_out = tmemo_[ti].value;
+          } else {
+            std::tie(w_out, vid_out) = eval_transition(w, oc, vid_in);
+            tindex_.insert(kh, static_cast<std::uint32_t>(tmemo_.size()));
+            tmemo_.push_back({key, w_out, vid_out});
+          }
+          std::uint32_t* row = srows_.data() + staged_.size() * st;
+          std::memcpy(row, prow, st * sizeof(std::uint32_t));
+          row[m + static_cast<std::size_t>(p)] = w_out;
+          if (oc.kind == op_kind::write) row[phys] = vid_out;
+          int elem = 0;
+          if (reduce) {
             const std::uint64_t c0 = cycle_clock::now();
-            const int elem =
-                group_.canonicalize(canon_.regs, canon_.procs, cs_, &cstats_);
+            elem = pk_.canonicalize_row_batched(row, pks_, cstats_);
             pt_canon_ += cycle_clock::now() - c0;
-            build_words_into(canon_, row);
-            staged_.push_back({static_cast<std::uint32_t>(k), p, elem, 0});
-            machine = saved_[static_cast<std::size_t>(p)];
-            if (written >= 0)
-              scratch_.regs[static_cast<std::size_t>(written)] =
-                  std::move(old_value);
           }
-          soff_[k + 1] = static_cast<std::uint32_t>(staged_.size());
+          // is_bad is deferred to the probe stage: the staged row IS the
+          // (canonical) state, so fresh states reconstruct it there and
+          // duplicates never pay the predicate.
+          staged_.push_back({p, elem, 0});
         }
+        soff_[k + 1] = static_cast<std::uint32_t>(staged_.size());
       }
       const std::uint64_t t1 = cycle_clock::now();
       pt_expand_ += t1 - t0;
@@ -671,9 +505,9 @@ class explorer {
       // are in flight while earlier probes retire.
       std::size_t si = 0;
       for (std::size_t k = 0; k < wlen; ++k) {
-        // Re-checked per parent (not per window): the unbatched loop stops
-        // before expanding the next frontier state once the cap is hit, and
-        // an incomplete run must cut off at the identical state count.
+        // Checked per parent, not per window: an incomplete run stops
+        // before probing the next frontier state's successors once the cap
+        // is hit, so its state count does not depend on the window size.
         if (num_states() >= opt_.max_states) {
           pt_probe_ += cycle_clock::now() - t1;
           return false;  // incomplete
@@ -691,10 +525,9 @@ class explorer {
           edges_.emplace_back(static_cast<std::uint32_t>(s),
                               static_cast<std::uint32_t>(idx));
           if (fresh && is_bad) {
-            // The staged row is the stored (canonical) state in every mode;
-            // the predicate (G-invariant by contract under symmetry) runs
-            // on its reconstruction, exactly as often as unbatched — on
-            // fresh states only.
+            // The staged row is the stored (canonical) state; the predicate
+            // (G-invariant by contract under symmetry) runs on its
+            // reconstruction, on fresh states only.
             fill_state(row, canon_);
             if (is_bad(canon_)) {
               res.bad_state = concrete_state(idx);
@@ -709,19 +542,6 @@ class explorer {
       frontier = wbegin + wlen;
     }
     return true;
-  }
-
-  /// Pack `s` into wbuf_: m register-value ids then n machine ids.
-  void build_words(const state_type& s) {
-    wbuf_.resize(stride());
-    build_words_into(s, wbuf_.data());
-  }
-
-  /// Pack `s` into `out` (stride() words): m value ids then n machine ids.
-  void build_words_into(const state_type& s, std::uint32_t* out) {
-    std::size_t w = 0;
-    for (const auto& r : s.regs) out[w++] = pool_.intern_value(r);
-    for (const auto& p : s.procs) out[w++] = pool_.intern_machine(p);
   }
 
   /// Sentinel value id for transitions with no register input (internal
@@ -767,7 +587,7 @@ class explorer {
 
   /// Evaluate one transition for real (memo miss): reconstruct the machine,
   /// step it against the adapter, and intern the results — machine first,
-  /// then the written value, the per-successor loop's interning order.
+  /// then the written value.
   std::pair<std::uint32_t, std::uint32_t> eval_transition(std::uint32_t w,
                                                           const cached_op& oc,
                                                           std::uint32_t vid) {
@@ -782,18 +602,9 @@ class explorer {
     return {w_out, vid_out};
   }
 
-  /// Dedup-insert wbuf_; returns (index, inserted-fresh). When `parent` >= 0
-  /// its decoded row must sit in prow_ (run_unbatched's invariant) —
-  /// compressed appends delta against it.
-  std::pair<std::int64_t, bool> intern_words(std::int64_t parent, int via,
-                                             int elem) {
-    return intern_row(wbuf_.data(), hash_words(wbuf_.data(), stride()),
-                      parent, prow_.data(), via, elem);
-  }
-
-  /// Dedup-insert an explicit packed row with a precomputed hash; `prow` is
-  /// the parent's decoded row (the compressed store's delta base; ignored
-  /// for the parentless initial state).
+  /// Dedup-insert a packed row with a precomputed hash; returns (index,
+  /// inserted-fresh). `prow` is the parent's decoded row (the compressed
+  /// store's delta base; ignored for the parentless initial state).
   std::pair<std::int64_t, bool> intern_row(const std::uint32_t* row,
                                            std::size_t h, std::int64_t parent,
                                            const std::uint32_t* prow, int via,
@@ -809,18 +620,14 @@ class explorer {
       }
       return std::memcmp(cand, row, stride() * sizeof(std::uint32_t)) == 0;
     };
-    const std::uint32_t found =
-        use_linear_ ? lindex_.find(h, eq) : index_.find(h, eq);
+    const std::uint32_t found = index_.find(h, eq);
     if (found != flat_index::npos) return {found, false};
     const std::uint64_t idx = num_states();
     ANONCOORD_REQUIRE(idx < flat_index::npos, "state index space exhausted");
     const std::uint64_t e0 = cycle_clock::now();
     rows_.append(row, parent, parent >= 0 ? prow : nullptr);
     pt_encode_ += cycle_clock::now() - e0;
-    if (use_linear_)
-      lindex_.insert(h, static_cast<std::uint32_t>(idx));
-    else
-      index_.insert(h, static_cast<std::uint32_t>(idx));
+    index_.insert(h, static_cast<std::uint32_t>(idx));
     parent_.push_back(parent);
     via_.push_back(via);
     elem_.push_back(elem);
@@ -928,9 +735,7 @@ class explorer {
 
   state_pool<Machine> pool_;
   row_store rows_;  ///< packed rows, compressed or verbatim per options
-  flat_index index_;          ///< group-probing seen table (batched mode)
-  flat_index_linear lindex_;  ///< baseline seen table (the opt-out's)
-  bool use_linear_ = false;
+  flat_index index_;  ///< group-probing seen table
   std::vector<std::int64_t> parent_;
   std::vector<int> via_;
   std::vector<int> elem_;  ///< canonicalizing group element per state
@@ -941,18 +746,15 @@ class explorer {
   mutable std::vector<std::uint32_t> csr_sources_;
 
   // Hot-path scratch (members so explore() allocates nothing per successor).
-  state_type scratch_, canon_;
-  std::vector<Machine> saved_;
-  std::vector<std::uint32_t> wbuf_;
-  std::vector<std::uint32_t> prow_;  ///< decoded row of the frontier state
-  std::vector<std::uint32_t> cmp_;   ///< eq-probe decode buffer
+  state_type canon_;  ///< predicate input: a fresh state's reconstruction
+  std::vector<std::uint32_t> cmp_;  ///< eq-probe decode buffer
   mutable std::vector<std::uint32_t> rowtmp_;
-  // Batched-pipeline staging (run_batched; empty in unbatched runs).
+  // Pipeline staging (run).
   std::vector<staged_succ> staged_;
   std::vector<std::uint32_t> wrows_;  ///< decoded window parent rows
   std::vector<std::uint32_t> srows_;  ///< flat staged successor rows
   std::vector<std::uint32_t> soff_;   ///< per-parent staged offsets (wlen+1)
-  // Interned-id transition memo (batched generation stage).
+  // Interned-id transition memo (generation stage).
   struct transition {
     std::uint64_t key;    ///< machine id << 32 | input value id
     std::uint32_t mach;   ///< stepped machine id
@@ -969,8 +771,8 @@ class explorer {
   std::uint64_t cal_tick0_ = 0;
   mutable row_decode_cache dcache_;
   mutable canonical_scratch<Machine> cs_;
-  // Packed canonicalization kernel state (reduce + packed_canonicalization).
-  bool packed_ = false;
+  // Packed canonicalization kernel state (attached when the group is
+  // non-trivial).
   packed_canonicalizer<Machine> pk_;
   packed_canonical_scratch pks_;
   canonicalize_stats cstats_;

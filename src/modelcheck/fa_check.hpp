@@ -91,15 +91,11 @@ mutex_check_result run_fa_mutex_check(Explorer& e) {
 inline mutex_check_result check_fa_mutex(int m,
                                          const naming_assignment& naming,
                                          std::uint64_t max_states = 2'000'000,
-                                         bool symmetry = false,
-                                         bool packed_canonicalization = true,
-                                         bool batched_expansion = true) {
+                                         bool symmetry = false) {
   using ex = explorer<fa_mutex>;
   typename ex::options opt;
   opt.max_states = max_states;
   opt.symmetry = symmetry;
-  opt.packed_canonicalization = packed_canonicalization;
-  opt.batched_expansion = batched_expansion;
   std::vector<fa_mutex> machines(
       static_cast<std::size_t>(naming.processes()), fa_mutex(m));
   ex e(m, naming, std::move(machines), opt);
@@ -111,15 +107,12 @@ inline mutex_check_result check_fa_mutex(int m,
 /// check_fa_mutex for every worker count.
 inline mutex_check_result check_fa_mutex_parallel(
     int m, const naming_assignment& naming, int workers,
-    std::uint64_t max_states = 2'000'000, bool symmetry = false,
-    bool packed_canonicalization = true, bool batched_expansion = true) {
+    std::uint64_t max_states = 2'000'000, bool symmetry = false) {
   using ex = parallel_explorer<fa_mutex>;
   typename ex::options opt;
   opt.workers = workers;
   opt.max_states = max_states;
   opt.symmetry = symmetry;
-  opt.packed_canonicalization = packed_canonicalization;
-  opt.batched_expansion = batched_expansion;
   std::vector<fa_mutex> machines(
       static_cast<std::size_t>(naming.processes()), fa_mutex(m));
   ex e(m, naming, std::move(machines), opt);

@@ -105,14 +105,11 @@ inline std::vector<anon_mutex> mutex_machines(
 /// id renaming, and anon_mutex models process_symmetric_machine.
 inline mutex_check_result check_anon_mutex(
     int m, const naming_assignment& naming, std::vector<process_id> ids,
-    std::uint64_t max_states = 2'000'000, bool symmetry = false,
-    bool packed_canonicalization = true, bool batched_expansion = true) {
+    std::uint64_t max_states = 2'000'000, bool symmetry = false) {
   using ex = explorer<anon_mutex>;
   typename ex::options opt;
   opt.max_states = max_states;
   opt.symmetry = symmetry;
-  opt.packed_canonicalization = packed_canonicalization;
-  opt.batched_expansion = batched_expansion;
   ex e(m, naming, detail::mutex_machines(m, naming, ids), opt);
   return detail::run_mutex_check(e);
 }
@@ -123,15 +120,12 @@ inline mutex_check_result check_anon_mutex(
 inline mutex_check_result check_anon_mutex_parallel(
     int m, const naming_assignment& naming, std::vector<process_id> ids,
     int workers, std::uint64_t max_states = 2'000'000,
-    bool symmetry = false, bool packed_canonicalization = true,
-    bool batched_expansion = true) {
+    bool symmetry = false) {
   using ex = parallel_explorer<anon_mutex>;
   typename ex::options opt;
   opt.workers = workers;
   opt.max_states = max_states;
   opt.symmetry = symmetry;
-  opt.packed_canonicalization = packed_canonicalization;
-  opt.batched_expansion = batched_expansion;
   ex e(m, naming, detail::mutex_machines(m, naming, ids), opt);
   return detail::run_mutex_check(e);
 }

@@ -41,7 +41,11 @@
 //
 // With options.symmetry successors are canonicalized to their orbit
 // representative under the configuration's automorphism group
-// (modelcheck/symmetry.hpp) before dedup; every determinism property above
+// (modelcheck/symmetry.hpp) before dedup, by the same packed kernel entry
+// point as the sequential engine (packed_canonicalizer::
+// canonicalize_row_batched). The kernel's memo tables are shared across
+// workers (benign same-value fills) and its rank snapshots rebuild only
+// between levels. Every determinism property above
 // is preserved because canonicalization is a pure function of the successor
 // and the merge order never depends on table placement. Reported
 // counterexamples are mapped back to concrete schedules exactly as in the
@@ -99,20 +103,6 @@ class parallel_explorer {
     /// resident set can transiently exceed it by the workers' fault-ins.
     std::uint64_t spill_budget_bytes = 0;
     std::string spill_dir;
-    /// Packed interned-id canonicalization; same contract as
-    /// explorer::options. The kernel's memo tables are shared read-mostly
-    /// across workers (benign same-value fills); its rank snapshots rebuild
-    /// only between levels, so results stay bit-identical at every worker
-    /// count.
-    bool packed_canonicalization = true;
-    /// Staged per-parent expansion (generate -> canonicalize -> hash ->
-    /// prefetch -> probe against the group-probing CAS table); same
-    /// opt-out contract as explorer::options::batched_expansion. Off
-    /// reproduces the previous release's per-successor loop and linear-probe
-    /// raw-cell seen table exactly, so the two modes cross-check independent
-    /// table implementations; verdicts, state counts and counterexample
-    /// schedules are bit-identical either way at every worker count.
-    bool batched_expansion = true;
   };
 
   struct result {
@@ -338,14 +328,15 @@ class parallel_explorer {
     return total;
   }
 
-  /// Per-phase hot-loop breakdown (batched mode; the opt-out reports only
-  /// encode_ns). Worker tick totals are summed before calibration, so the
-  /// phase times read as aggregate CPU time across workers — they can exceed
-  /// wall_seconds — while the single-threaded merge's encode time cannot.
+  /// Per-phase hot-loop breakdown. Worker tick totals are summed before
+  /// calibration, so the expand/canonicalize/probe times read as aggregate
+  /// CPU time across workers — they can exceed wall_seconds — while the
+  /// single-threaded merge's encode time cannot. The probe-group counters
+  /// stay zero: this engine's seen table probes bare cells, not tag groups.
   const explore_phase_stats& phase_counters() const { return phases_; }
 
   /// Row-storage bytes committed for the merged seen set (the bench's
-  /// bytes-per-state numerator; same accounting basis in both modes).
+  /// bytes-per-state numerator; same accounting basis in both arena modes).
   std::uint64_t stored_row_bytes() const { return rows_.stored_bytes(); }
 
   /// Keyframe rows in the compressed store (diagnostics; 0 in verbatim mode
@@ -401,25 +392,20 @@ class parallel_explorer {
     std::vector<std::uint32_t> bad;    ///< fresh entries that violated safety
     std::uint64_t dedup_hits = 0;
     state_type scratch;  ///< reused across expansions: no per-parent allocs
-    state_type canon;    ///< canonical successor buffer (symmetry)
-    canonical_scratch<Machine> cs;
+    state_type canon;    ///< decoded fresh successor (safety predicate)
     packed_canonical_scratch pks;  ///< packed-kernel row buffers
     canonicalize_stats cstats;     ///< per-worker prune/apply counters
-    std::vector<std::uint32_t> wbuf;  ///< packed successor row
     std::vector<std::uint32_t> prow;  ///< decoded row of the expanded state
     std::vector<std::uint32_t> cmp;   ///< eq-probe decode buffer
     row_decode_cache dcache;
-    /// Batched mode: one parent's successors staged as flat rows + their
-    /// provenance, hashed and probe-prefetched as a group before the probe
-    /// loop; phase tick accumulators and probe counters ride per worker.
+    /// One parent's staged successors: packed rows, stepped process and
+    /// canonicalizing element, in process order.
     std::vector<std::uint32_t> srows;
-    std::vector<std::uint32_t> svia;
-    std::vector<std::int32_t> selem;
-    std::vector<std::size_t> shash;
+    std::vector<int> svia;
+    std::vector<int> selem;
     std::uint64_t pt_expand = 0;  ///< generation ticks (canon included)
     std::uint64_t pt_canon = 0;   ///< canonicalization ticks within expand
     std::uint64_t pt_probe = 0;   ///< hash + seen-table probe/publish ticks
-    probe_stats pstats;
     /// Per-process undo slots for the machine mutated by step(); persistent
     /// so the save/restore round-trip copy-assigns instead of allocating.
     std::vector<Machine> saved;
@@ -434,9 +420,7 @@ class parallel_explorer {
   void reset() {
     pool_.clear();
     cstats_ = canonicalize_stats{};
-    packed_ = opt_.packed_canonicalization && !group_.is_trivial() &&
-              symmetry_reducible_machine<Machine>;
-    if (packed_)
+    if (!group_.is_trivial())
       pk_.attach(&group_, &pool_, registers_,
                  static_cast<int>(initial_machines_.size()));
     row_store_options ropt;
@@ -456,14 +440,9 @@ class parallel_explorer {
     mrow_.assign(stride(), 0);
     cell_count_ = 1024;
     cell_mask_ = cell_count_ - 1;
-    if (opt_.batched_expansion) {
-      ctind_.reset(cell_count_);
-      cells_.reset();
-    } else {
-      cells_ = std::make_unique<std::atomic<std::uint64_t>[]>(cell_count_);
-      for (std::size_t i = 0; i < cell_count_; ++i)
-        cells_[i].store(0, std::memory_order_relaxed);
-    }
+    cells_ = std::make_unique<std::atomic<std::uint64_t>[]>(cell_count_);
+    for (std::size_t i = 0; i < cell_count_; ++i)
+      cells_[i].store(0, std::memory_order_relaxed);
     phases_ = explore_phase_stats{};
     pt_encode_ = 0;
     cal_timer_.reset();
@@ -495,7 +474,7 @@ class parallel_explorer {
   void prepare_level(std::uint64_t span) {
     // Single-threaded between levels: the only place the packed kernel's
     // rank snapshots rebuild, so workers never observe a snapshot mid-swap.
-    if (packed_) pk_.maybe_refresh_ranks();
+    if (!group_.is_trivial()) pk_.maybe_refresh_ranks();
     const std::uint64_t nprocs =
         static_cast<std::uint64_t>(initial_machines_.size());
     const std::uint64_t upper = span * nprocs;
@@ -531,12 +510,6 @@ class parallel_explorer {
   /// Single-threaded rehash; every cell is a merged payload here (the merge
   /// rewrote all pending cells), and fragments alone re-derive probe starts.
   void grow_cells(std::size_t capacity) {
-    if (opt_.batched_expansion) {
-      ctind_.grow(capacity);
-      cell_count_ = capacity;
-      cell_mask_ = capacity - 1;
-      return;
-    }
     auto old = std::move(cells_);
     const std::size_t old_count = cell_count_;
     cell_count_ = capacity;
@@ -584,33 +557,36 @@ class parallel_explorer {
     for (const auto& p : init.procs) wbuf.push_back(pool_.intern_machine(p));
     const std::size_t h = hash_words(wbuf.data(), stride());
     const std::uint32_t frag = flat_index::fragment(h);
-    if (opt_.batched_expansion) {
-      ctind_.place_initial(frag, 0);
-    } else {
-      std::size_t i = cell_start(frag);
-      cells_[i].store(make_cell(frag, 0), std::memory_order_relaxed);
-    }
+    cells_[cell_start(frag)].store(make_cell(frag, 0),
+                                   std::memory_order_relaxed);
     rows_.append(wbuf.data(), -1, nullptr);
     parents_.push_back(-1);
     vias_.push_back(-1);
     elems_.push_back(elem);
   }
 
-  /// Expand one state: step-in-place each enabled process on a scratch copy,
-  /// pack (and under symmetry canonicalize) the successor, then find-or-
-  /// publish it in the CAS table.
+  /// Expand one state in two passes. The first steps each enabled process
+  /// in place on a worker-local scratch copy (undone afterwards), patches
+  /// the parent's packed row — the stepped machine and at most one written
+  /// register — into wd.srows, and under symmetry canonicalizes it. The
+  /// second finds or publishes each staged row in the CAS table, one
+  /// successor at a time, in process order. Splitting the passes keeps the
+  /// phase brackets to three clock reads per parent: bracketing each
+  /// successor instead ran the reference config ~20% slower (4-core Xeon
+  /// VM, where a cycle-counter read costs ~18 ns).
   void expand(std::uint64_t g, worker_data& wd, const state_predicate& is_bad) {
-    if (opt_.batched_expansion) {
-      expand_batched(g, wd, is_bad);
-      return;
-    }
     const std::size_t m = static_cast<std::size_t>(registers_);
+    const std::size_t st = stride();
     const bool reduce = !group_.is_trivial();
+    const std::uint64_t t0 = cycle_clock::now();
     state_type& scratch = wd.scratch;
     rows_.load(g, parents_.data(), wd.prow.data(), wd.dcache);
     fill_state(wd.prow.data(), scratch);
     if (wd.saved.size() != scratch.procs.size()) wd.saved = scratch.procs;
     const int nprocs = static_cast<int>(scratch.procs.size());
+    wd.srows.resize(static_cast<std::size_t>(nprocs) * st);
+    wd.svia.clear();
+    wd.selem.clear();
     for (int p = 0; p < nprocs; ++p) {
       Machine& machine = scratch.procs[static_cast<std::size_t>(p)];
       const op_desc op = machine.peek();
@@ -627,155 +603,39 @@ class parallel_explorer {
       permuted_vector_memory<value_type> view(scratch.regs, perm);
       machine.step(view);
 
-      // Pack the successor row. Component interning happens off the seen
-      // table's critical path (its shard mutexes are the only locks left).
-      int elem = 0;
-      if (packed_) {
-        // Patch the parent row in the word domain, then canonicalize the
-        // row directly. The memo tables are shared across workers; benign
-        // duplicate fills store the same id, so no synchronization beyond
-        // the tables' publish-before-read discipline is needed.
-        wd.wbuf.assign(wd.prow.begin(), wd.prow.end());
-        wd.wbuf[m + static_cast<std::size_t>(p)] =
-            pool_.intern_machine(machine);
-        if (written >= 0)
-          wd.wbuf[static_cast<std::size_t>(written)] = pool_.intern_value(
-              scratch.regs[static_cast<std::size_t>(written)]);
-        elem = pk_.canonicalize_row(wd.wbuf.data(), wd.pks, wd.cstats);
-      } else if (reduce) {
-        wd.canon.regs = scratch.regs;
-        wd.canon.procs = scratch.procs;
-        elem = group_.canonicalize(wd.canon.regs, wd.canon.procs, wd.cs,
-                                   &wd.cstats);
-        wd.wbuf.clear();
-        for (const auto& r : wd.canon.regs)
-          wd.wbuf.push_back(pool_.intern_value(r));
-        for (const auto& q : wd.canon.procs)
-          wd.wbuf.push_back(pool_.intern_machine(q));
-      } else {
-        wd.wbuf.assign(wd.prow.begin(), wd.prow.end());
-        wd.wbuf[m + static_cast<std::size_t>(p)] =
-            pool_.intern_machine(machine);
-        if (written >= 0)
-          wd.wbuf[static_cast<std::size_t>(written)] = pool_.intern_value(
-              scratch.regs[static_cast<std::size_t>(written)]);
-      }
-
-      bool inserted = false;
-      const std::uint32_t tagged = probe_or_publish(wd, g, p, elem, inserted);
-      if (opt_.record_edges)
-        wd.edges.push_back(edge_rec{static_cast<std::uint32_t>(g), tagged});
-      if (inserted && is_bad) {
-        // Packed path: the canonical state only exists as a word row; decode
-        // it for the predicate (fresh states only, so off the hot path).
-        if (packed_) fill_state(wd.wbuf.data(), wd.canon);
-        if (is_bad(reduce ? wd.canon : scratch))
-          wd.bad.push_back(tagged & ~kPendingBit);
-      }
-      // Undo: restore the moved machine and the overwritten register.
-      machine = wd.saved[static_cast<std::size_t>(p)];
+      // The component pools are thread-safe, so interning needs no lock;
+      // the seen-table CAS is the only synchronization between workers.
+      std::uint32_t* row = wd.srows.data() + wd.svia.size() * st;
+      std::memcpy(row, wd.prow.data(), st * sizeof(std::uint32_t));
+      row[m + static_cast<std::size_t>(p)] = pool_.intern_machine(machine);
       if (written >= 0)
-        scratch.regs[static_cast<std::size_t>(written)] = std::move(old_value);
-    }
-  }
-
-  /// expand(), restructured as the staged mini-batch pipeline
-  /// (options.batched_expansion): generate the parent's successors into a
-  /// flat staging buffer (canonicalizing each row as it is staged, via the
-  /// class-sharing batched kernel), hash the whole batch, warm every
-  /// candidate's probe group, then probe/publish against the group-probing
-  /// CAS table. Observable effects are identical to expand(): the same
-  /// successors probe with the same provenance, the safety predicate runs
-  /// on published entries only, and the deterministic merge is indifferent
-  /// to table placement and probe order.
-  void expand_batched(std::uint64_t g, worker_data& wd,
-                      const state_predicate& is_bad) {
-    const std::size_t m = static_cast<std::size_t>(registers_);
-    const std::size_t st = stride();
-    const bool reduce = !group_.is_trivial();
-    const std::uint64_t t0 = cycle_clock::now();
-    state_type& scratch = wd.scratch;
-    rows_.load(g, parents_.data(), wd.prow.data(), wd.dcache);
-    fill_state(wd.prow.data(), scratch);
-    if (wd.saved.size() != scratch.procs.size()) wd.saved = scratch.procs;
-    const int nprocs = static_cast<int>(scratch.procs.size());
-    wd.srows.resize(static_cast<std::size_t>(nprocs) * st);
-    wd.svia.clear();
-    wd.selem.clear();
-    std::size_t cnt = 0;
-    for (int p = 0; p < nprocs; ++p) {
-      Machine& machine = scratch.procs[static_cast<std::size_t>(p)];
-      const op_desc op = machine.peek();
-      if (op.kind == op_kind::none) continue;
-      const permutation& perm = naming_.of(p);
-      wd.saved[static_cast<std::size_t>(p)] = machine;
-      int written = -1;
-      value_type old_value{};
-      if (op.kind == op_kind::write) {
-        written = perm[static_cast<std::size_t>(op.index)];
-        old_value = scratch.regs[static_cast<std::size_t>(written)];
-      }
-      permuted_vector_memory<value_type> view(scratch.regs, perm);
-      machine.step(view);
-
-      std::uint32_t* row = wd.srows.data() + cnt * st;
+        row[static_cast<std::size_t>(written)] = pool_.intern_value(
+            scratch.regs[static_cast<std::size_t>(written)]);
       int elem = 0;
-      if (packed_) {
-        std::memcpy(row, wd.prow.data(), st * sizeof(std::uint32_t));
-        row[m + static_cast<std::size_t>(p)] = pool_.intern_machine(machine);
-        if (written >= 0)
-          row[static_cast<std::size_t>(written)] = pool_.intern_value(
-              scratch.regs[static_cast<std::size_t>(written)]);
+      if (reduce) {
         const std::uint64_t c0 = cycle_clock::now();
         elem = pk_.canonicalize_row_batched(row, wd.pks, wd.cstats);
         wd.pt_canon += cycle_clock::now() - c0;
-      } else if (reduce) {
-        wd.canon.regs = scratch.regs;
-        wd.canon.procs = scratch.procs;
-        const std::uint64_t c0 = cycle_clock::now();
-        elem = group_.canonicalize(wd.canon.regs, wd.canon.procs, wd.cs,
-                                   &wd.cstats);
-        wd.pt_canon += cycle_clock::now() - c0;
-        std::size_t w = 0;
-        for (const auto& r : wd.canon.regs) row[w++] = pool_.intern_value(r);
-        for (const auto& q : wd.canon.procs)
-          row[w++] = pool_.intern_machine(q);
-      } else {
-        std::memcpy(row, wd.prow.data(), st * sizeof(std::uint32_t));
-        row[m + static_cast<std::size_t>(p)] = pool_.intern_machine(machine);
-        if (written >= 0)
-          row[static_cast<std::size_t>(written)] = pool_.intern_value(
-              scratch.regs[static_cast<std::size_t>(written)]);
       }
-      wd.svia.push_back(static_cast<std::uint32_t>(p));
+      wd.svia.push_back(p);
       wd.selem.push_back(elem);
-      ++cnt;
-
+      // Undo: restore the moved machine and the overwritten register.
       machine = wd.saved[static_cast<std::size_t>(p)];
       if (written >= 0)
         scratch.regs[static_cast<std::size_t>(written)] = std::move(old_value);
     }
     const std::uint64_t t1 = cycle_clock::now();
     wd.pt_expand += t1 - t0;
-    // Hash the batch back to back, then warm every probe group before the
-    // first probe: the mini-batch is small (≤ nprocs), so all of its
-    // tag/cell lines fit in flight at once.
-    wd.shash.resize(cnt);
-    for (std::size_t i = 0; i < cnt; ++i)
-      wd.shash[i] = hash_words(wd.srows.data() + i * st, st);
-    for (std::size_t i = 0; i < cnt; ++i)
-      ctind_.prefetch(flat_index::fragment(wd.shash[i]));
-    for (std::size_t i = 0; i < cnt; ++i) {
+    for (std::size_t i = 0; i < wd.svia.size(); ++i) {
       const std::uint32_t* row = wd.srows.data() + i * st;
       bool inserted = false;
-      const std::uint32_t tagged = probe_or_publish_grouped(
-          wd, g, static_cast<int>(wd.svia[i]), wd.selem[i], row, wd.shash[i],
-          inserted);
+      const std::uint32_t tagged =
+          probe_or_publish(wd, row, g, wd.svia[i], wd.selem[i], inserted);
       if (opt_.record_edges)
         wd.edges.push_back(edge_rec{static_cast<std::uint32_t>(g), tagged});
       if (inserted && is_bad) {
-        // The staged row IS the (canonical) successor in every mode;
-        // published entries only, exactly like the per-successor loop.
+        // The staged row is the (canonical) successor; decode it for the
+        // predicate (fresh states only).
         fill_state(row, wd.canon);
         if (is_bad(wd.canon)) wd.bad.push_back(tagged & ~kPendingBit);
       }
@@ -783,64 +643,12 @@ class parallel_explorer {
     wd.pt_probe += cycle_clock::now() - t1;
   }
 
-  /// probe_or_publish against the group-probing CAS table (batched mode):
-  /// the table owns the probe walk and the publish protocol, this wrapper
-  /// owns the payload semantics — staging rows + provenance before the
-  /// claim, and the CAS-min provenance fold on same-level duplicates.
-  std::uint32_t probe_or_publish_grouped(worker_data& wd, std::uint64_t g,
-                                         int p, int elem,
-                                         const std::uint32_t* row,
-                                         std::size_t h, bool& inserted) {
-    const std::uint32_t frag = flat_index::fragment(h);
-    const std::uint64_t pve = pack_pve(g, p, elem);
-    const std::size_t st = stride();
-    std::uint32_t cell_out = 0;
-    const std::uint32_t tagged = ctind_.probe_or_insert(
-        frag, inserted, cell_out,
-        [&](std::uint32_t t) {
-          const std::uint32_t* other;
-          if (t & kPendingBit) {
-            other = pend_words_.data() + std::size_t{t & ~kPendingBit} * st;
-          } else {
-            rows_.load(t, parents_.data(), wd.cmp.data(), wd.dcache);
-            other = wd.cmp.data();
-          }
-          return std::memcmp(other, row, st * sizeof(std::uint32_t)) == 0;
-        },
-        [&] {
-          const std::uint32_t staged =
-              pend_count_.fetch_add(1, std::memory_order_relaxed);
-          ANONCOORD_REQUIRE(staged < pend_cap_, "pending arena overrun");
-          std::memcpy(pend_words_.data() + std::size_t{staged} * st, row,
-                      st * sizeof(std::uint32_t));
-          pend_[staged].pve.store(pve, std::memory_order_relaxed);
-          return kPendingBit | staged;
-        },
-        &wd.pstats);
-    if (inserted) {
-      pend_[tagged & ~kPendingBit].cell = cell_out;
-      wd.fresh.push_back(tagged & ~kPendingBit);
-      return tagged;
-    }
-    ++wd.dedup_hits;
-    if (tagged & kPendingBit) {
-      // Same-level duplicate: fold provenance to the lexicographically
-      // smallest (parent, via) — sequential BFS's first discoverer.
-      std::atomic<std::uint64_t>& slot = pend_[tagged & ~kPendingBit].pve;
-      std::uint64_t cur = slot.load(std::memory_order_relaxed);
-      while (pve < cur &&
-             !slot.compare_exchange_weak(cur, pve, std::memory_order_relaxed,
-                                         std::memory_order_relaxed)) {
-      }
-    }
-    return tagged;
-  }
-
-  /// Find wd.wbuf in the seen table or publish it as a pending entry.
+  /// Find `srow` in the seen table or publish it as a pending entry.
   /// Returns the tagged payload (merged global, or kPendingBit | entry).
-  std::uint32_t probe_or_publish(worker_data& wd, std::uint64_t g, int p,
-                                 int elem, bool& inserted) {
-    const std::size_t h = hash_words(wd.wbuf.data(), stride());
+  std::uint32_t probe_or_publish(worker_data& wd, const std::uint32_t* srow,
+                                 std::uint64_t g, int p, int elem,
+                                 bool& inserted) {
+    const std::size_t h = hash_words(srow, stride());
     const std::uint32_t frag = flat_index::fragment(h);
     const std::uint64_t pve = pack_pve(g, p, elem);
     std::uint32_t staged = kPendingBit;  // no entry staged yet
@@ -853,7 +661,7 @@ class parallel_explorer {
           staged = pend_count_.fetch_add(1, std::memory_order_relaxed);
           ANONCOORD_REQUIRE(staged < pend_cap_, "pending arena overrun");
           std::memcpy(pend_words_.data() + std::size_t{staged} * stride(),
-                      wd.wbuf.data(), stride() * sizeof(std::uint32_t));
+                      srow, stride() * sizeof(std::uint32_t));
           pend_[staged].pve.store(pve, std::memory_order_relaxed);
         }
         if (cells_[i].compare_exchange_strong(
@@ -880,7 +688,7 @@ class parallel_explorer {
           rows_.load(tagged, parents_.data(), wd.cmp.data(), wd.dcache);
           row = wd.cmp.data();
         }
-        if (std::memcmp(row, wd.wbuf.data(),
+        if (std::memcmp(row, srow,
                         stride() * sizeof(std::uint32_t)) == 0) {
           ++wd.dedup_hits;
           if (tagged & kPendingBit) {
@@ -940,14 +748,10 @@ class parallel_explorer {
       vias_.push_back(via);
       elems_.push_back(elem);
       pend_[f.eidx].global = global;
-      if (opt_.batched_expansion) {
-        ctind_.rewrite(pend_[f.eidx].cell, global);
-      } else {
-        std::atomic<std::uint64_t>& cell = cells_[pend_[f.eidx].cell];
-        cell.store(make_cell(cell_frag(cell.load(std::memory_order_relaxed)),
-                             global),
-                   std::memory_order_relaxed);
-      }
+      std::atomic<std::uint64_t>& cell = cells_[pend_[f.eidx].cell];
+      cell.store(
+          make_cell(cell_frag(cell.load(std::memory_order_relaxed)), global),
+          std::memory_order_relaxed);
     }
     pt_encode_ += cycle_clock::now() - e0;
     // Resolve this level's new edges from pending entries to globals.
@@ -1036,19 +840,15 @@ class parallel_explorer {
       return static_cast<std::uint64_t>(static_cast<double>(ticks) * ratio);
     };
     std::uint64_t expand = 0, canon = 0, probe = 0;
-    probe_stats ps;
     for (const auto& wd : workers_) {
       expand += wd.value.pt_expand;
       canon += wd.value.pt_canon;
       probe += wd.value.pt_probe;
-      ps.merge(wd.value.pstats);
     }
     phases_.canonicalize_ns = to_ns(canon);
     phases_.expand_ns = to_ns(expand > canon ? expand - canon : 0);
     phases_.probe_ns = to_ns(probe);
     phases_.encode_ns = to_ns(pt_encode_);
-    phases_.probe_groups_scanned = ps.groups_scanned;
-    phases_.probe_max_group_chain = ps.max_group_chain;
   }
 
   int registers_;
@@ -1059,8 +859,8 @@ class parallel_explorer {
 
   state_pool<Machine> pool_;
   /// Packed canonicalization kernel (shared across workers; scratch and
-  /// counters live per-worker). cstats_ covers single-threaded calls only.
-  bool packed_ = false;
+  /// counters live per-worker; attached when the group is non-trivial).
+  /// cstats_ covers single-threaded calls only.
   packed_canonicalizer<Machine> pk_;
   canonicalize_stats cstats_;
   /// Merged states: row g in rows_; parents_/vias_/elems_ record the BFS
@@ -1072,11 +872,6 @@ class parallel_explorer {
 
   /// The lock-free seen table (see cell layout above) and the per-level
   /// staging arenas its pending payloads point into.
-  /// The two seen-table implementations: the group-probing CAS table
-  /// (batched mode) and the previous release's raw linear-probe cells (the
-  /// opt-out). Exactly one is allocated per run; cell_count_/cell_mask_
-  /// track capacity for both.
-  concurrent_tag_index ctind_;
   std::unique_ptr<std::atomic<std::uint64_t>[]> cells_;
   std::size_t cell_count_ = 0;
   std::size_t cell_mask_ = 0;

@@ -665,10 +665,10 @@ class packed_canonicalizer {
     }
   }
 
-  /// canonicalize_row, restructured for the staged batch pipeline's
-  /// throughput: bit-identical row, element index, prune counters AND
-  /// component-interning order, so a batched run's pools (and with them
-  /// every stored row byte) match an unbatched run's exactly.
+  /// canonicalize_row, restructured for throughput — the entry point both
+  /// engines call: bit-identical row, element index, prune counters AND
+  /// component-interning order, so the pools (and with them every stored
+  /// row byte) do not depend on which entry point ran.
   ///
   /// The speedup exploits the fa product structure through the prefix
   /// classes computed in attach(): all elements of a class share one

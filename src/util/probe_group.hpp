@@ -90,11 +90,6 @@ struct probe_stats {
     groups_scanned += groups;
     if (groups > max_group_chain) max_group_chain = groups;
   }
-  void merge(const probe_stats& o) {
-    groups_scanned += o.groups_scanned;
-    if (o.max_group_chain > max_group_chain)
-      max_group_chain = o.max_group_chain;
-  }
 };
 
 }  // namespace anoncoord

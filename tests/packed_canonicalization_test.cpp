@@ -17,11 +17,13 @@
 //   * candidate accounting — each non-identity element is counted exactly
 //     once per canonicalization as a full apply, a first-word prune, or
 //     (packed only) a longest-common-prefix prune;
-//   * engine-level equivalence — explorer verdicts, state counts and
-//     counterexample schedules are identical with the kernel on and off,
-//     and the parallel engine stays bit-identical to the sequential one at
-//     1/2/4/8 workers with the kernel on (the TSan CI job re-runs this
-//     suite to certify the shared memo tables race-free).
+//   * the engines' entry point — canonicalize_row_batched, the
+//     class-sharing variant both engines call, returns the same image,
+//     element index and prune counters as canonicalize_row on every row;
+//   * engine level — the parallel engine stays bit-identical to the
+//     sequential one at 1/2/4/8 workers (the TSan CI job re-runs this suite
+//     to certify the shared memo tables race-free), and the engines'
+//     counters account for every (canonicalization, element) candidate.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -80,8 +82,10 @@ void expect_results_identical(const mutex_check_result& a,
 // Kernel vs object-domain differential.
 // ---------------------------------------------------------------------------
 
-/// Explore unreduced, then canonicalize every stored state through both
-/// paths and demand identical images and element indices. `refresh_each`
+/// Explore unreduced, then canonicalize every stored state through the
+/// object domain and both kernel entry points (plain and batched, each with
+/// its own rank snapshots over one shared pool) and demand identical images
+/// and element indices. `refresh_each`
 /// rebuilds the rank snapshots before every row (full coverage, the
 /// rank-speed compare); otherwise only one early rebuild happens and later
 /// rows hit ids the snapshot has never seen — the object-domain fallback —
@@ -99,21 +103,29 @@ void expect_kernel_bit_identical(int m, const naming_assignment& naming,
   ASSERT_GT(res.num_states, 0u);
 
   state_pool<Machine> pool;
-  packed_canonicalizer<Machine> pk;
+  packed_canonicalizer<Machine> pk, pkb;
   pk.attach(&g, &pool, m, n);
+  pkb.attach(&g, &pool, m, n);
   packed_canonical_scratch pks;
   canonical_scratch<Machine> cs;
-  canonicalize_stats pstats{}, ostats{};
+  canonicalize_stats pstats{}, bstats{}, ostats{};
   bool went_stale = false;
-  std::vector<std::uint32_t> row;
+  std::vector<std::uint32_t> row, rowb;
   for (std::uint64_t i = 0; i < res.num_states; ++i) {
     const auto s = e.state(i);
     row.clear();
     for (const auto& r : s.regs) row.push_back(pool.intern_value(r));
     for (const auto& p : s.procs) row.push_back(pool.intern_machine(p));
-    if (refresh_each || i == 0) pk.refresh_ranks();
+    if (refresh_each || i == 0) {
+      pk.refresh_ranks();
+      pkb.refresh_ranks();
+    }
     went_stale = went_stale || pk.ranks_stale();
+    rowb = row;
     const int pelem = pk.canonicalize_row(row.data(), pks, pstats);
+    const int belem = pkb.canonicalize_row_batched(rowb.data(), pks, bstats);
+    ASSERT_EQ(belem, pelem) << "batched element index diverged at state " << i;
+    ASSERT_EQ(rowb, row) << "batched image diverged at state " << i;
 
     auto oregs = s.regs;
     auto oprocs = s.procs;
@@ -139,6 +151,9 @@ void expect_kernel_bit_identical(int m, const naming_assignment& naming,
                   pstats.prefix_pruned,
               candidates);
     EXPECT_EQ(ostats.full_applies + ostats.first_word_pruned, candidates);
+    EXPECT_EQ(bstats.full_applies, pstats.full_applies);
+    EXPECT_EQ(bstats.first_word_pruned, pstats.first_word_pruned);
+    EXPECT_EQ(bstats.prefix_pruned, pstats.prefix_pruned);
     EXPECT_EQ(ostats.prefix_pruned, 0u);
     if (!refresh_each && res.num_states > 1) {
       EXPECT_TRUE(went_stale) << "stale-snapshot variant never went stale";
@@ -180,94 +195,54 @@ TEST(PackedCanonicalizationTest, StaleSnapshotsFallBackToObjectOrder) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine-level equivalence: kernel on vs off, sequential vs parallel.
+// Engine level: sequential vs parallel, and per-candidate accounting.
 // ---------------------------------------------------------------------------
-
-TEST(PackedCanonicalizationTest, ExplorerVerdictsIdenticalPackedOnOff) {
-  // Safe configs in both regimes plus the m = 4, n = 2 fully anonymous
-  // deadlock (Theorem 3.1's boundary one level down): verdict, state count,
-  // stuck count and the counterexample schedule must not move.
-  for (int m : {2, 3}) {
-    const auto on = check_anon_mutex(m, identity_naming(2, m), {1, 2},
-                                     2'000'000, true, true);
-    const auto off = check_anon_mutex(m, identity_naming(2, m), {1, 2},
-                                      2'000'000, true, false);
-    expect_results_identical(on, off, "anon m=" + std::to_string(m));
-  }
-  {
-    const auto on = check_fa_mutex(3, identity_naming(3, 3), 2'000'000, true,
-                                   true);
-    const auto off = check_fa_mutex(3, identity_naming(3, 3), 2'000'000, true,
-                                    false);
-    expect_results_identical(on, off, "fa m=3 n=3");
-  }
-  {
-    const auto on = check_fa_mutex(4, identity_naming(2, 4), 2'000'000, true,
-                                   true);
-    const auto off = check_fa_mutex(4, identity_naming(2, 4), 2'000'000, true,
-                                    false);
-    EXPECT_EQ(on.verdict(), "DEADLOCK");
-    expect_results_identical(on, off, "fa m=4 n=2 deadlock");
-  }
-}
 
 TEST(PackedCanonicalizationTest, ParallelWorkersBitIdenticalPackedOn) {
   const auto seq_anon = check_anon_mutex(3, identity_naming(2, 3), {1, 2},
-                                         2'000'000, true, true);
+                                         2'000'000, true);
   const auto seq_fa = check_fa_mutex(3, identity_naming(3, 3), 2'000'000,
-                                     true, true);
+                                     true);
   const auto seq_dead = check_fa_mutex(4, identity_naming(2, 4), 2'000'000,
-                                       true, true);
+                                       true);
   for (int workers : {1, 2, 4, 8}) {
     const std::string tag = "workers=" + std::to_string(workers);
     expect_results_identical(
         seq_anon,
         check_anon_mutex_parallel(3, identity_naming(2, 3), {1, 2}, workers,
-                                  2'000'000, true, true),
+                                  2'000'000, true),
         "anon " + tag);
     expect_results_identical(
         seq_fa,
         check_fa_mutex_parallel(3, identity_naming(3, 3), workers, 2'000'000,
-                                true, true),
+                                true),
         "fa " + tag);
     expect_results_identical(
         seq_dead,
         check_fa_mutex_parallel(4, identity_naming(2, 4), workers, 2'000'000,
-                                true, true),
+                                true),
         "fa deadlock " + tag);
   }
 }
 
 TEST(PackedCanonicalizationTest, EngineCountersAccountForEveryCandidate) {
-  // Through the engines the same per-candidate accounting must hold: with
-  // G the group and C canonicalization calls, the three counters sum to
-  // C * (|G| - 1), so the sum is divisible by |G| - 1 and nonzero. The
-  // object path additionally never reports a prefix prune.
+  // Through the engines the same per-candidate accounting must hold: every
+  // successor (one per edge) and the initial state are canonicalized once,
+  // and each call ticks exactly one counter per non-identity element.
   const auto naming = identity_naming(2, 3);
   const auto procs = machines(3, 2);
   const auto g = symmetry_group<anon_mutex>::compute(naming, procs);
   ASSERT_GT(g.size(), 1);
-  const auto run = [&](bool packed) {
-    explorer<anon_mutex>::options opt;
-    opt.max_states = 2'000'000;
-    opt.symmetry = true;
-    opt.packed_canonicalization = packed;
-    explorer<anon_mutex> e(3, naming, procs, opt);
-    const auto res = e.explore(two_in_cs);
-    EXPECT_TRUE(res.complete);
-    return e.canonicalize_counters();
-  };
-  const auto on = run(true);
-  const auto off = run(false);
-  const auto total = [&](const canonicalize_stats& s) {
-    return s.full_applies + s.first_word_pruned + s.prefix_pruned;
-  };
-  EXPECT_GT(total(on), 0u);
-  EXPECT_GT(total(off), 0u);
-  EXPECT_EQ(total(on) % static_cast<std::uint64_t>(g.size() - 1), 0u);
-  EXPECT_EQ(total(off) % static_cast<std::uint64_t>(g.size() - 1), 0u);
-  EXPECT_EQ(total(on), total(off));  // same states, same candidate count
-  EXPECT_EQ(off.prefix_pruned, 0u);
+  explorer<anon_mutex>::options opt;
+  opt.max_states = 2'000'000;
+  opt.symmetry = true;
+  explorer<anon_mutex> e(3, naming, procs, opt);
+  const auto res = e.explore(two_in_cs);
+  ASSERT_TRUE(res.complete);
+  const canonicalize_stats& c = e.canonicalize_counters();
+  EXPECT_GT(c.full_applies, 0u);
+  EXPECT_EQ(c.full_applies + c.first_word_pruned + c.prefix_pruned,
+            (res.num_edges + 1) * static_cast<std::uint64_t>(g.size() - 1));
 }
 
 }  // namespace

@@ -1,8 +1,4 @@
-// Torture tests for the group-probing seen tables (util/flat_index.hpp):
-// flat_index (single-threaded Swiss-table probing), flat_index_linear (the
-// pre-group-probing baseline kept as the batched_expansion opt-out), and
-// concurrent_tag_index (the parallel explorer's lock-free CAS-insert
-// analogue).
+// Torture tests for the group-probing seen table (util/flat_index.hpp).
 //
 // Pinned here:
 //   * collision floods — thousands of entries sharing one hash (one
@@ -11,23 +7,10 @@
 //     terminates at the first group with an empty slot;
 //   * growth across 2^k boundaries — entries survive repeated doublings
 //     (placement is a pure function of the stored fragment, not the
-//     original hash) on all three tables;
-//   * duplicate-insert idempotence — probe_or_insert stages a payload at
-//     most once per key; re-probing returns the winner with inserted=false;
-//   * linear/grouped differential — both sequential tables answer an
-//     identical find/insert trace identically (the two implementations
-//     cross-check each other, exactly like the engine opt-out does);
-//   * concurrent CAS-insert race — several threads racing the same key set
-//     insert every key exactly once, losers re-examine the winner, and the
-//     stage-before-publish protocol keeps every payload readable. The CI
-//     TSan job re-runs this suite to certify the tag/cell protocol
-//     race-free (stale-0 tags verified against cells, nonzero tags
-//     immutable).
+//     original hash).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <thread>
 #include <vector>
 
 #include "util/flat_index.hpp"
@@ -79,165 +62,6 @@ TEST(ProbeIndexTest, GrowthAcrossPowerOfTwoBoundaries) {
     EXPECT_EQ(idx.find(static_cast<std::size_t>(i),
                        [&](std::uint32_t local) { return local == i; }),
               flat_index::npos);
-}
-
-TEST(ProbeIndexTest, LinearAndGroupedTablesAnswerIdentically) {
-  // The same insert/find trace through both sequential implementations —
-  // the in-process analogue of the engine-level batched on/off opt-out.
-  constexpr std::uint32_t kCount = 50'000;
-  flat_index grouped;
-  flat_index_linear linear;
-  std::vector<std::size_t> hashes(kCount);
-  for (std::uint32_t i = 0; i < kCount; ++i) {
-    // A mild collision regime: 1/16 of the entries share a hash.
-    hashes[i] = static_cast<std::size_t>(mix64(i / 16));
-    grouped.insert(hashes[i], i);
-    linear.insert(hashes[i], i);
-  }
-  EXPECT_EQ(grouped.used, linear.used);
-  for (std::uint32_t i = 0; i < kCount; ++i) {
-    const auto eq = [&](std::uint32_t local) { return local == i; };
-    ASSERT_EQ(grouped.find(hashes[i], eq), linear.find(hashes[i], eq));
-    const auto miss = [](std::uint32_t) { return false; };
-    ASSERT_EQ(grouped.find(hashes[i], miss), linear.find(hashes[i], miss));
-  }
-}
-
-TEST(ProbeIndexTest, ConcurrentIndexCollisionFloodSingleThreaded) {
-  // Degenerate regime on the CAS table, no threads: one fragment, chains
-  // across groups, every record individually reachable.
-  constexpr std::uint32_t kFlood = 600;
-  concurrent_tag_index idx;
-  idx.reset(2048);
-  const std::uint32_t frag = flat_index::fragment(0x5eed);
-  probe_stats stats;
-  for (std::uint32_t i = 0; i < kFlood; ++i) {
-    bool inserted = false;
-    std::uint32_t cell = 0;
-    const std::uint32_t got = idx.probe_or_insert(
-        frag, inserted, cell, [&](std::uint32_t tagged) { return tagged == i; },
-        [&] { return i; }, &stats);
-    ASSERT_TRUE(inserted);
-    ASSERT_EQ(got, i);
-  }
-  EXPECT_GE(stats.max_group_chain, kFlood / kProbeGroupSlots);
-  for (std::uint32_t i = 0; i < kFlood; ++i) {
-    bool inserted = false;
-    std::uint32_t cell = 0;
-    const std::uint32_t got = idx.probe_or_insert(
-        frag, inserted, cell, [&](std::uint32_t tagged) { return tagged == i; },
-        [&] { return 0xdeadu; });
-    ASSERT_FALSE(inserted);
-    ASSERT_EQ(got, i);
-  }
-}
-
-TEST(ProbeIndexTest, ConcurrentIndexGrowPreservesEntries) {
-  // Single-threaded growth across 2^k boundaries (the between-level grow
-  // the parallel explorer performs): entries re-place by fragment.
-  concurrent_tag_index idx;
-  idx.reset(64);
-  constexpr std::uint32_t kCount = 40;
-  for (std::uint32_t i = 0; i < kCount; ++i)
-    idx.place_initial(flat_index::fragment(i), i);
-  for (std::size_t cap : {128u, 256u, 1024u}) {
-    idx.grow(cap);
-    EXPECT_EQ(idx.capacity(), cap);
-    for (std::uint32_t i = 0; i < kCount; ++i) {
-      bool inserted = false;
-      std::uint32_t cell = 0;
-      const std::uint32_t got = idx.probe_or_insert(
-          flat_index::fragment(i), inserted, cell,
-          [&](std::uint32_t tagged) { return tagged == i; },
-          [&] { return 0xdeadu; });
-      ASSERT_FALSE(inserted) << "entry lost across grow(" << cap << ")";
-      ASSERT_EQ(got, i);
-    }
-  }
-}
-
-TEST(ProbeIndexTest, DuplicateInsertIsIdempotentAndStagesOnce) {
-  concurrent_tag_index idx;
-  idx.reset(256);
-  int stage_calls = 0;
-  const std::uint32_t frag = flat_index::fragment(77);
-  for (int round = 0; round < 3; ++round) {
-    bool inserted = false;
-    std::uint32_t cell = 0;
-    const std::uint32_t got = idx.probe_or_insert(
-        frag, inserted, cell,
-        [&](std::uint32_t tagged) { return tagged == 42; },
-        [&] {
-          ++stage_calls;
-          return 42u;
-        });
-    EXPECT_EQ(got, 42u);
-    EXPECT_EQ(inserted, round == 0);
-  }
-  EXPECT_EQ(stage_calls, 1);
-}
-
-TEST(ProbeIndexConcurrencyTest, RacingInsertersInsertEachKeyExactlyOnce) {
-  // kThreads threads race the same kKeys keys in different orders. stage()
-  // allocates a payload slot and writes the key into it before the claim
-  // CAS publishes it, so every eq on another thread reads a fully staged
-  // record. Exactly one inserter wins per key; losers re-examine the winner
-  // and come back with inserted=false. Staged-but-lost slots may leak
-  // (stage runs at most once per call, before the first claim attempt) —
-  // that is the documented protocol, so the slot arena is sized for it.
-  constexpr int kThreads = 4;
-  constexpr std::uint32_t kKeys = 4096;
-  concurrent_tag_index idx;
-  idx.reset(16384);
-  std::vector<std::uint64_t> slot_key(
-      static_cast<std::size_t>(kThreads) * kKeys, 0);
-  std::atomic<std::uint32_t> next_slot{0};
-  std::atomic<std::uint64_t> total_inserts{0};
-  std::atomic<int> failures{0};
-
-  auto worker = [&](int t) {
-    // Per-thread visit order: odd stride, coprime with the power-of-two key
-    // count, so every thread touches every key at maximal disagreement.
-    const std::uint32_t stride = 2 * static_cast<std::uint32_t>(t) + 1;
-    std::uint64_t inserts = 0;
-    for (std::uint32_t i = 0; i < kKeys; ++i) {
-      const std::uint64_t key = (i * stride) % kKeys;
-      const std::uint32_t frag =
-          flat_index::fragment(static_cast<std::size_t>(mix64(key)));
-      bool inserted = false;
-      std::uint32_t cell = 0;
-      const std::uint32_t payload = idx.probe_or_insert(
-          frag, inserted, cell,
-          [&](std::uint32_t tagged) { return slot_key[tagged] == key; },
-          [&] {
-            const std::uint32_t s =
-                next_slot.fetch_add(1, std::memory_order_relaxed);
-            slot_key[s] = key;
-            return s;
-          });
-      if (slot_key[payload] != key) failures.fetch_add(1);
-      if (inserted) ++inserts;
-    }
-    total_inserts.fetch_add(inserts);
-  };
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) threads.emplace_back(worker, t);
-  for (auto& th : threads) th.join();
-
-  EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(total_inserts.load(), kKeys);
-  EXPECT_GE(next_slot.load(), kKeys);
-  // Post-race: every key resolves to one stable payload.
-  for (std::uint64_t key = 0; key < kKeys; ++key) {
-    bool inserted = false;
-    std::uint32_t cell = 0;
-    const std::uint32_t payload = idx.probe_or_insert(
-        flat_index::fragment(static_cast<std::size_t>(mix64(key))), inserted,
-        cell, [&](std::uint32_t tagged) { return slot_key[tagged] == key; },
-        [&] { return 0xdeadu; });
-    ASSERT_FALSE(inserted);
-    ASSERT_EQ(slot_key[payload], key);
-  }
 }
 
 }  // namespace

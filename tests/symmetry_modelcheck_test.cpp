@@ -34,6 +34,7 @@
 #include "modelcheck/symmetry.hpp"
 #include "modelcheck/systematic.hpp"
 #include "modelcheck/verify.hpp"
+#include "reference_explorer.hpp"
 #include "runtime/schedule.hpp"
 #include "runtime/simulator.hpp"
 #include "runtime/trace_io.hpp"
@@ -206,44 +207,11 @@ TEST(CanonicalizeTest, ProjectsOrbitsAndReportsMappingElement) {
   }
 }
 
-/// Brute-force reference canonicalizer: apply EVERY group element and keep
-/// the lexicographic minimum, ascending scan with strict-less swap — the
-/// exact discipline canonicalize() used before the first-word fast path.
-/// The differential test below pins the fast path to this bit-for-bit,
-/// including the returned element index (the tie-break).
-template <class Machine>
-int reference_canonicalize(const symmetry_group<Machine>& g,
-                           std::vector<typename Machine::value_type>& regs,
-                           std::vector<Machine>& procs) {
-  const auto lex_less = [](const std::vector<typename Machine::value_type>& ar,
-                           const std::vector<Machine>& ap,
-                           const std::vector<typename Machine::value_type>& br,
-                           const std::vector<Machine>& bp) {
-    for (std::size_t i = 0; i < ar.size(); ++i) {
-      if (ar[i] < br[i]) return true;
-      if (br[i] < ar[i]) return false;
-    }
-    for (std::size_t i = 0; i < ap.size(); ++i) {
-      if (canonical_less(ap[i], bp[i])) return true;
-      if (canonical_less(bp[i], ap[i])) return false;
-    }
-    return false;
-  };
-  const auto orig_regs = regs;
-  const auto orig_procs = procs;
-  std::vector<typename Machine::value_type> tmp_regs;
-  std::vector<Machine> tmp_procs;
-  int best = 0;
-  for (int ei = 1; ei < g.size(); ++ei) {
-    g.apply(g.at(ei), orig_regs, orig_procs, tmp_regs, tmp_procs);
-    if (lex_less(tmp_regs, tmp_procs, regs, procs)) {
-      regs.swap(tmp_regs);
-      procs.swap(tmp_procs);
-      best = ei;
-    }
-  }
-  return best;
-}
+// reference_canonicalize (reference_explorer.hpp) is the brute-force
+// canonicalizer: every group element applied, lexicographic minimum kept by
+// an ascending strict-less scan — the discipline canonicalize() used before
+// the first-word fast path. The differential test below pins the fast path
+// to it bit for bit, including the returned element index (the tie-break).
 
 /// Explore (unreduced) and check every reachable stored state.
 template <class Machine, class Pred>
