@@ -230,7 +230,6 @@ int main(int argc, char** argv) {
                     t, "s");
       // dedup hits: recompute via a safety-only verify_config run for stats.
       verify_options vopt;
-      vopt.engine = verify_engine::parallel_bfs;
       vopt.workers = workers;
       vopt.max_states = 8'000'000;
       const auto stats = verify_config<anon_mutex>(cfg, two_in_cs, vopt);
@@ -473,24 +472,14 @@ int main(int argc, char** argv) {
       double t_best = 0;
       for (int rep = 0; rep < reps; ++rep) {
         stopwatch t;
-        if (es.workers == 0) {
-          explorer<anon_mutex>::options eopt;
-          eopt.max_states = 8'000'000;
-          eopt.compress_arena = es.compress;
-          explorer<anon_mutex> e(ac.m, anm, amach, eopt);
-          res = detail::run_mutex_check(e);
-          row_bytes = e.stored_row_bytes();
-          keyframes = e.keyframe_rows();
-        } else {
-          parallel_explorer<anon_mutex>::options popt;
-          popt.max_states = 8'000'000;
-          popt.compress_arena = es.compress;
-          popt.workers = es.workers;
-          parallel_explorer<anon_mutex> e(ac.m, anm, amach, popt);
-          res = detail::run_mutex_check(e);
-          row_bytes = e.stored_row_bytes();
-          keyframes = e.keyframe_rows();
-        }
+        explorer<anon_mutex>::options eopt;
+        eopt.workers = std::max(1, es.workers);
+        eopt.max_states = 8'000'000;
+        eopt.compress_arena = es.compress;
+        explorer<anon_mutex> e(ac.m, anm, amach, eopt);
+        res = detail::run_mutex_check(e);
+        row_bytes = e.stored_row_bytes();
+        keyframes = e.keyframe_rows();
         const double s = t.elapsed_seconds();
         if (rep == 0 || s < t_best) t_best = s;
       }
@@ -572,24 +561,14 @@ int main(int argc, char** argv) {
       mutex_check_result res;
       arena_spill_stats st{};
       stopwatch t;
-      if (se.workers == 0) {
-        explorer<anon_mutex>::options eopt;
-        eopt.max_states = 8'000'000;
-        eopt.compress_arena = true;
-        eopt.spill_budget_bytes = spill_budget;
-        explorer<anon_mutex> e(m, naming, oc_mach, eopt);
-        res = detail::run_mutex_check(e);
-        st = e.spill_stats();
-      } else {
-        parallel_explorer<anon_mutex>::options popt;
-        popt.max_states = 8'000'000;
-        popt.compress_arena = true;
-        popt.workers = se.workers;
-        popt.spill_budget_bytes = spill_budget;
-        parallel_explorer<anon_mutex> e(m, naming, oc_mach, popt);
-        res = detail::run_mutex_check(e);
-        st = e.spill_stats();
-      }
+      explorer<anon_mutex>::options eopt;
+      eopt.workers = std::max(1, se.workers);
+      eopt.max_states = 8'000'000;
+      eopt.compress_arena = true;
+      eopt.spill_budget_bytes = spill_budget;
+      explorer<anon_mutex> e(m, naming, oc_mach, eopt);
+      res = detail::run_mutex_check(e);
+      st = e.spill_stats();
       const double t_run = t.elapsed_seconds();
       spill_match = spill_match && res.verdict() == mem_res.verdict() &&
                     res.num_states == mem_res.num_states &&
@@ -683,8 +662,8 @@ int main(int argc, char** argv) {
       const double s2 = t2.elapsed_seconds();
       if (rep == 0 || s2 < orbit_t) orbit_t = s2;
     }
-    fa_par = check_fa_mutex_parallel(fc.registers, fa_naming, /*workers=*/2,
-                                     2'000'000, /*symmetry=*/true);
+    fa_par = check_fa_mutex(fc.registers, fa_naming, 2'000'000,
+                            /*symmetry=*/true, /*workers=*/2);
     bool ok = fa_raw.verdict() == fa_orbit.verdict() &&
               fa_par.verdict() == fa_orbit.verdict() &&
               fa_par.num_states == fa_orbit.num_states &&

@@ -14,12 +14,12 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/anon_mutex.hpp"
 #include "mem/naming.hpp"
 #include "modelcheck/explorer.hpp"
-#include "modelcheck/parallel_explorer.hpp"
 
 namespace anoncoord {
 
@@ -57,10 +57,8 @@ inline bool mutex_someone_trying(const global_state<anon_mutex>& s) {
 
 namespace detail {
 
-/// Shared harness: works with explorer<anon_mutex> and
-/// parallel_explorer<anon_mutex> (identical explore/check_progress shape).
-template <class Explorer>
-mutex_check_result run_mutex_check(Explorer& e) {
+/// Shared harness: explore under mutual exclusion, then check progress.
+inline mutex_check_result run_mutex_check(explorer<anon_mutex>& e) {
   auto res = e.explore(
       [](const global_state<anon_mutex>& s) { return mutex_cs_count(s) >= 2; });
 
@@ -102,32 +100,30 @@ inline std::vector<anon_mutex> mutex_machines(
 /// exploration dedups states to orbit representatives under the
 /// configuration's automorphism group — sound here because both predicates
 /// (CS count, someone-trying) are invariant under process permutation and
-/// id renaming, and anon_mutex models process_symmetric_machine.
+/// id renaming, and anon_mutex models process_symmetric_machine. Verdicts,
+/// state counts and counterexample schedules are identical for every
+/// `workers` count.
 inline mutex_check_result check_anon_mutex(
     int m, const naming_assignment& naming, std::vector<process_id> ids,
-    std::uint64_t max_states = 2'000'000, bool symmetry = false) {
-  using ex = explorer<anon_mutex>;
-  typename ex::options opt;
+    std::uint64_t max_states = 2'000'000, bool symmetry = false,
+    int workers = 1) {
+  explorer<anon_mutex>::options opt;
+  opt.workers = workers;
   opt.max_states = max_states;
   opt.symmetry = symmetry;
-  ex e(m, naming, detail::mutex_machines(m, naming, ids), opt);
+  explorer<anon_mutex> e(m, naming, detail::mutex_machines(m, naming, ids),
+                         opt);
   return detail::run_mutex_check(e);
 }
 
-/// The same check through the parallel reduction-aware engine. Verdicts,
-/// state counts and counterexample schedules are bit-identical to
-/// check_anon_mutex for every worker count.
+/// check_anon_mutex with the worker count first (the benchmark's entry
+/// point).
 inline mutex_check_result check_anon_mutex_parallel(
     int m, const naming_assignment& naming, std::vector<process_id> ids,
     int workers, std::uint64_t max_states = 2'000'000,
     bool symmetry = false) {
-  using ex = parallel_explorer<anon_mutex>;
-  typename ex::options opt;
-  opt.workers = workers;
-  opt.max_states = max_states;
-  opt.symmetry = symmetry;
-  ex e(m, naming, detail::mutex_machines(m, naming, ids), opt);
-  return detail::run_mutex_check(e);
+  return check_anon_mutex(m, naming, std::move(ids), max_states, symmetry,
+                          workers);
 }
 
 /// Check one two-process configuration where process 0 numbers the registers

@@ -13,7 +13,7 @@
 // footprint drops from sizeof(state) (machines own heap vectors) to
 // 4(m + n) bytes.
 //
-// Thread-safety (the parallel explorer interns from every worker):
+// Thread-safety (the explorer interns from every worker):
 //
 //   * intern() routes by hash to one of kShards shards, each guarded by its
 //     own mutex around a flat_index probe + append;
@@ -24,8 +24,8 @@
 //     it obtained through a happens-before chain (stripe mutex or the
 //     fork-join barrier), which also carries the component's construction.
 //
-// Lock ordering: the parallel explorer interns BEFORE taking a seen-table
-// stripe lock, so shard mutexes and stripe mutexes are never nested.
+// Lock ordering: the explorer's seen tables take no lock, so shard mutexes
+// are never nested.
 #pragma once
 
 #include <algorithm>
@@ -176,7 +176,7 @@ class component_pool {
 /// of component `id`, so after warm-up a group element's action on a packed
 /// row is a pure u32 gather with no Machine construction.
 ///
-/// Concurrency contract (the parallel explorer's workers read and fill these
+/// Concurrency contract (the explorer's workers read and fill these
 /// during a level): lookups are lock-free (acquire loads on the segment
 /// pointer and the slot); a miss recomputes the image through the pools —
 /// interning is deterministic, so racing fillers store the SAME value and
@@ -288,7 +288,7 @@ class id_rank_snapshot {
 
 /// The two pools a packed explorer needs: register values and machine local
 /// states. A global state's packed row is m value ids followed by n machine
-/// ids; the explorers own the row layout, this class owns the components.
+/// ids; the explorer owns the row layout, this class owns the components.
 template <class Machine>
 class state_pool {
  public:
@@ -378,7 +378,7 @@ class row_decode_cache {
 };
 
 /// Append-only store of packed state rows (stride = m + n words each), the
-/// seen-set payload of both explorers. Two modes:
+/// seen-set payload of the explorer. Two modes:
 ///
 ///   * verbatim — rows kept as flat 4·stride-byte runs (the pre-compression
 ///     layout); load() is a memcpy and verbatim_row() exposes the bytes for
@@ -394,7 +394,7 @@ class row_decode_cache {
 ///     delta chain would exceed kMaxChain (bounding decode work), and
 ///     whenever the delta would not actually be smaller.
 ///
-/// Decoding a compressed row needs the BFS parent array (the explorers own
+/// Decoding a compressed row needs the BFS parent array (the explorer owns
 /// it) and a row_decode_cache. Appends are single-threaded; loads may run
 /// concurrently from many threads provided no append is in flight and each
 /// thread uses its own cache — the same fork-join contract as byte_arena.

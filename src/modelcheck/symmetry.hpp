@@ -590,8 +590,8 @@ class packed_canonicalizer {
            machine_ranks_.covered() * 8 < pool_->num_machines() * 7;
   }
 
-  /// Rebuild both rank snapshots. QUIESCENT ONLY: single-threaded engines
-  /// call it between expansions, the parallel explorer in prepare_level()
+  /// Rebuild both rank snapshots. QUIESCENT ONLY: the workers = 1 explorer
+  /// calls it between windows, the workers > 1 explorer between levels
   /// (after the join, before the next fork).
   void refresh_ranks() {
     if constexpr (symmetry_reducible_machine<Machine>) {

@@ -1,13 +1,13 @@
 // verify_config(): one entry point over every verification engine.
 //
-// The repo now has three mechanical provers — the sequential BFS explorer,
-// the parallel reduction-aware explorer, and the CHESS-style systematic
-// tester (with optional sleep-set reduction). They take the same inputs (a
-// register count, a naming assignment, initial machines, a bad-state
-// predicate) but grew distinct result types. verify_config() runs any of
-// them on a uniform model_config and returns uniform per-run stats (states,
-// dedup hits, schedules, reduction counters, wall time), which is what the
-// scaling bench and the differential tests consume.
+// The repo has two mechanical provers — the BFS explorer (at any worker
+// count) and the CHESS-style systematic tester (with optional sleep-set
+// reduction). They take the same inputs (a register count, a naming
+// assignment, initial machines, a bad-state predicate) but grew distinct
+// result types. verify_config() runs either on a uniform model_config and
+// returns uniform per-run stats (states, dedup hits, schedules, reduction
+// counters, wall time), which is what the scaling bench and the
+// differential tests consume.
 #pragma once
 
 #include <algorithm>
@@ -24,7 +24,6 @@
 #include "mem/naming.hpp"
 #include "modelcheck/explorer.hpp"
 #include "modelcheck/sweep_journal.hpp"
-#include "modelcheck/parallel_explorer.hpp"
 #include "modelcheck/systematic.hpp"
 #include "obs/metrics.hpp"
 #include "util/padded.hpp"
@@ -35,8 +34,7 @@
 namespace anoncoord {
 
 enum class verify_engine {
-  bfs,               ///< sequential explorer (explorer.hpp)
-  parallel_bfs,      ///< sharded explorer (parallel_explorer.hpp)
+  bfs,               ///< BFS explorer (explorer.hpp), options.workers threads
   systematic,        ///< bounded schedule enumeration (systematic.hpp)
   systematic_sleep,  ///< + sleep-set partial-order reduction
 };
@@ -44,7 +42,6 @@ enum class verify_engine {
 inline std::string to_string(verify_engine e) {
   switch (e) {
     case verify_engine::bfs: return "bfs";
-    case verify_engine::parallel_bfs: return "parallel-bfs";
     case verify_engine::systematic: return "systematic";
     case verify_engine::systematic_sleep: return "systematic+sleep";
   }
@@ -53,20 +50,20 @@ inline std::string to_string(verify_engine e) {
 
 struct verify_options {
   verify_engine engine = verify_engine::bfs;
-  int workers = 1;                         ///< parallel_bfs only
-  std::uint64_t max_states = 2'000'000;    ///< BFS engines
+  int workers = 1;                         ///< BFS engine threads
+  std::uint64_t max_states = 2'000'000;    ///< BFS engine
   int max_steps = 40;                      ///< systematic engines
   int max_preemptions = 2;                 ///< systematic engines
   std::uint64_t max_runs = 50'000'000;     ///< systematic engines
   /// Orbit-representative symmetry reduction (modelcheck/symmetry.hpp).
-  /// BFS engines dedup states by canonical form; systematic engines key
+  /// The BFS engine dedups states by canonical form; systematic engines key
   /// their dominance cache by canonical form (implies state_cache). The
   /// predicate must be invariant under the configuration's automorphisms.
   bool symmetry = false;
   /// Dominance-cache pruning for the systematic engines (see
   /// systematic_tester::options::state_cache).
   bool state_cache = false;
-  /// Out-of-core mode for the BFS engines (see explorer::options): resident
+  /// Out-of-core mode for the BFS engine (see explorer::options): resident
   /// budget for the compressed row arena, 0 = fully in-memory. In a
   /// scheduled sweep this is the PER-JOB budget — every class's engine gets
   /// its own arena and spill file.
@@ -74,7 +71,7 @@ struct verify_options {
   std::string spill_dir;
 };
 
-/// Uniform per-run statistics. For BFS engines `states` counts distinct
+/// Uniform per-run statistics. For the BFS engine `states` counts distinct
 /// global states; for systematic engines it counts executed steps and
 /// `schedules` counts enumerated maximal schedules.
 struct verify_report {
@@ -89,7 +86,7 @@ struct verify_report {
   std::uint64_t cache_pruned = 0;
   std::uint64_t spill_pages = 0;  ///< arena pages written out-of-core
   std::uint64_t spill_bytes = 0;  ///< bytes written to the spill file
-  /// Canonicalization prune effectiveness (BFS engines; zero for trivial
+  /// Canonicalization prune effectiveness (BFS engine; zero for trivial
   /// groups and the systematic engines). full_applies counts elements whose
   /// image was fully materialized (or fully compared on a tie);
   /// first_word_pruned / prefix_pruned count elements rejected at word 0 /
@@ -97,12 +94,12 @@ struct verify_report {
   std::uint64_t canon_full_applies = 0;
   std::uint64_t canon_first_word_pruned = 0;
   std::uint64_t canon_prefix_pruned = 0;
-  /// Hot-loop phase breakdown (BFS engines; zero for the systematic
-  /// engines). Sequential runs report wall time per stage; parallel runs sum
-  /// per-worker ticks, so the phase total is aggregate CPU time and can
-  /// exceed wall_seconds. probe_groups_scanned / probe_max_group_chain are
-  /// the sequential engine's group-probe seen-table counters; they are 0 for
-  /// the parallel engine, whose seen table has no groups.
+  /// Hot-loop phase breakdown (BFS engine; zero for the systematic
+  /// engines). workers = 1 runs report wall time per stage; workers > 1
+  /// runs sum per-worker ticks, so the phase total is aggregate CPU time and
+  /// can exceed wall_seconds. probe_groups_scanned / probe_max_group_chain
+  /// are the workers = 1 group-probe seen-table counters; they are 0 at
+  /// workers > 1, whose seen table has no groups.
   std::uint64_t expand_ns = 0;
   std::uint64_t canonicalize_ns = 0;
   std::uint64_t probe_ns = 0;
@@ -124,7 +121,7 @@ struct model_config {
 };
 
 /// Bad-state predicate over (registers, machines) — the systematic tester's
-/// native shape; BFS engines adapt it to global_state.
+/// native shape; the BFS engine adapts it to global_state.
 template <class Machine>
 using config_predicate =
     std::function<bool(const std::vector<typename Machine::value_type>&,
@@ -143,44 +140,13 @@ verify_report verify_config(const model_config<Machine>& cfg,
   switch (opt.engine) {
     case verify_engine::bfs: {
       typename explorer<Machine>::options eopt;
+      eopt.workers = opt.workers;
       eopt.max_states = opt.max_states;
+      eopt.record_edges = false;  // safety-only entry point
       eopt.symmetry = opt.symmetry;
       eopt.spill_budget_bytes = opt.spill_budget_bytes;
       eopt.spill_dir = opt.spill_dir;
       explorer<Machine> e(cfg.registers, cfg.naming, cfg.initial, eopt);
-      const auto res = e.explore(as_state_pred);
-      out.complete = res.complete;
-      out.violated = res.safety_violated();
-      out.states = res.num_states;
-      out.edges = res.num_edges;
-      out.dedup_hits = res.dedup_hits;
-      out.violating_schedule = res.bad_schedule;
-      const arena_spill_stats spill = e.spill_stats();
-      out.spill_pages = spill.spilled_pages;
-      out.spill_bytes = spill.spill_bytes;
-      const canonicalize_stats cs = e.canonicalize_counters();
-      out.canon_full_applies = cs.full_applies;
-      out.canon_first_word_pruned = cs.first_word_pruned;
-      out.canon_prefix_pruned = cs.prefix_pruned;
-      const explore_phase_stats& ph = e.phase_counters();
-      out.expand_ns = ph.expand_ns;
-      out.canonicalize_ns = ph.canonicalize_ns;
-      out.probe_ns = ph.probe_ns;
-      out.encode_ns = ph.encode_ns;
-      out.probe_groups_scanned = ph.probe_groups_scanned;
-      out.probe_max_group_chain = ph.probe_max_group_chain;
-      break;
-    }
-    case verify_engine::parallel_bfs: {
-      typename parallel_explorer<Machine>::options popt;
-      popt.workers = opt.workers;
-      popt.max_states = opt.max_states;
-      popt.record_edges = false;  // safety-only entry point
-      popt.symmetry = opt.symmetry;
-      popt.spill_budget_bytes = opt.spill_budget_bytes;
-      popt.spill_dir = opt.spill_dir;
-      parallel_explorer<Machine> e(cfg.registers, cfg.naming, cfg.initial,
-                                   popt);
       const auto res = e.explore(as_state_pred);
       out.complete = res.complete;
       out.violated = res.safety_violated();
@@ -486,7 +452,7 @@ naming_sweep_report verify_naming_sweep(
   } else {
     // Classes are independent jobs: seed per-worker Chase-Lev deques with
     // contiguous slices and let dry workers steal — the same discipline as
-    // the parallel explorer's frontier, at job granularity.
+    // the explorer's level windows, at job granularity.
     auto deques =
         std::make_unique<padded<ws_deque>[]>(static_cast<std::size_t>(nworkers));
     for (int w = 0; w < nworkers; ++w) {

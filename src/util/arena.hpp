@@ -17,7 +17,7 @@
 // mkstemp and unlinked immediately, so the kernel reclaims it when the arena
 // (or the process) goes away.
 //
-// Thread-safety contract (the parallel explorer's discipline): appends are
+// Thread-safety contract (the explorer's workers > 1 discipline): appends are
 // single-threaded, and concurrent readers are only allowed while no append
 // is in flight — the explorer appends exclusively inside the single-threaded
 // level merge, whose fork-join barrier orders every append before every

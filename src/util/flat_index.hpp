@@ -17,7 +17,7 @@
 // "stop at the first empty cell". The probe start is a pure function of the
 // fragment, so grow() re-places cells without the original hashes.
 //
-// The table is single-threaded. The parallel explorer's lock-free seen table
+// The table is single-threaded. The explorer's workers > 1 lock-free seen table
 // keeps the same cell packing and fragment-derived probe start, but probes
 // bare atomic cells linearly: it has no tag array, so no tag read can race
 // a publishing CAS.

@@ -10,7 +10,7 @@
 // the quiescent-exact emptiness test termination detection needs (once no
 // one pushes, empty deques stay empty).
 //
-// Fixed capacity, set by reset(): the parallel explorer sizes each deque for
+// Fixed capacity, set by reset(): the explorer sizes each deque for
 // the BFS level it schedules and seeds it before forking, so the owner never
 // outruns the buffer; push() REQUIREs the bound rather than resizing.
 // Elements are relaxed atomics — a stolen slot may be read concurrently with

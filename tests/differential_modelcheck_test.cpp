@@ -1,13 +1,14 @@
 // Differential testing of the verification engines.
 //
 // For randomized terminating configurations (machines running small random
-// register programs under random namings) the BFS explorer, the parallel
-// explorer and the systematic tester — the latter run exhaustively, with and
-// without sleep-set reduction — must return IDENTICAL safety verdicts, and
-// every reported violating schedule must replay to the same violation on a
-// fresh simulator. For the (non-terminating) Fig. 1 mutex the systematic
-// tester is depth-bounded, so the engines are checked for consistency on
-// the mutual-exclusion verdict instead.
+// register programs under random namings) the BFS explorer at one worker and
+// at several (two different seen-table back ends) and the systematic tester
+// — the latter run exhaustively, with and without sleep-set reduction — must
+// return IDENTICAL safety verdicts, and every reported violating schedule
+// must replay to the same violation on a fresh simulator. For the
+// (non-terminating) Fig. 1 mutex the systematic tester is depth-bounded, so
+// the engines are checked for consistency on the mutual-exclusion verdict
+// instead.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,7 +19,6 @@
 #include "mem/naming.hpp"
 #include "modelcheck/explorer.hpp"
 #include "modelcheck/mutex_check.hpp"
-#include "modelcheck/parallel_explorer.hpp"
 #include "modelcheck/systematic.hpp"
 #include "modelcheck/verify.hpp"
 #include "runtime/schedule.hpp"
@@ -151,7 +151,6 @@ TEST(DifferentialModelCheckTest, RandomConfigsAllEnginesAgree) {
     ASSERT_TRUE(bfs.complete || bfs.violated);
 
     verify_options par_opt;
-    par_opt.engine = verify_engine::parallel_bfs;
     par_opt.workers = 3;
     const auto par = verify_config(cfg, bad, par_opt);
     ASSERT_TRUE(par.complete || par.violated);
@@ -173,13 +172,9 @@ TEST(DifferentialModelCheckTest, RandomConfigsAllEnginesAgree) {
     EXPECT_EQ(bfs.violated, par.violated);
     EXPECT_EQ(bfs.violated, sys.violated);
     EXPECT_EQ(bfs.violated, sleep.violated);
-    // The two BFS engines agree exactly, not just on the verdict. (On a
-    // violation the counterexample schedules still match, but the state
-    // counts may not: the sequential engine stops mid-level while the
-    // parallel engine finishes expanding the level before the merged check.)
-    if (!bfs.violated) {
-      EXPECT_EQ(bfs.states, par.states);
-    }
+    // The two BFS back ends agree exactly, not just on the verdict: both
+    // stop right after the first violating state in discovery order.
+    EXPECT_EQ(bfs.states, par.states);
     EXPECT_EQ(bfs.violating_schedule, par.violating_schedule);
     // Sleep sets only ever prune.
     EXPECT_LE(sleep.schedules, sys.schedules);
@@ -226,7 +221,6 @@ TEST(DifferentialModelCheckTest, MutexMeVerdictConsistentAcrossEngines) {
           };
 
       verify_options par_opt;
-      par_opt.engine = verify_engine::parallel_bfs;
       par_opt.workers = 2;
       par_opt.max_states = 5'000'000;
       const auto par = verify_config(cfg, two_in_cs, par_opt);
@@ -277,15 +271,14 @@ TEST(DifferentialModelCheckTest, CompressedArenaMatchesVerbatimOnRandomCases) {
     EXPECT_EQ(cres.bad_state, vres.bad_state);
     EXPECT_EQ(cres.bad_schedule, vres.bad_schedule);
 
-    parallel_explorer<scribbler>::options par_opt;
+    explorer<scribbler>::options par_opt;
     par_opt.workers = 3;
     par_opt.compress_arena = true;
-    parallel_explorer<scribbler> par(c.registers, c.naming, c.machines,
-                                     par_opt);
+    explorer<scribbler> par(c.registers, c.naming, c.machines, par_opt);
     const auto pres = par.explore(bad);
     EXPECT_EQ(pres.complete, vres.complete);
     EXPECT_EQ(pres.bad_schedule, vres.bad_schedule);
-    if (!vres.safety_violated()) EXPECT_EQ(pres.num_states, vres.num_states);
+    EXPECT_EQ(pres.num_states, vres.num_states);
   }
 }
 
@@ -326,10 +319,10 @@ TEST(DifferentialModelCheckTest, CompressedArenaMatchesVerbatimOnMutex) {
     EXPECT_LT(comp.keyframe_rows(), cres.num_states);
 
     for (int workers : {2, 4}) {
-      parallel_explorer<anon_mutex>::options par_opt;
+      explorer<anon_mutex>::options par_opt;
       par_opt.workers = workers;
       par_opt.compress_arena = true;
-      parallel_explorer<anon_mutex> par(tc.m, naming, ms, par_opt);
+      explorer<anon_mutex> par(tc.m, naming, ms, par_opt);
       const auto pres = detail::run_mutex_check(par);
       EXPECT_EQ(pres.verdict(), vres.verdict()) << "workers=" << workers;
       EXPECT_EQ(pres.num_states, vres.num_states) << "workers=" << workers;

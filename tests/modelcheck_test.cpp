@@ -46,33 +46,79 @@ struct toy_machine {
 TEST(ExplorerTest, EnumeratesInterleavingsExactly) {
   // Two one-write machines: states are {fresh, after-1, after-2, after-both
   // in either order} — register ends as the last writer, so 2 final states.
-  explorer<toy_machine> e(1, naming_assignment::identity(2, 1),
-                          {toy_machine{1, 0}, toy_machine{2, 0}});
-  auto res = e.explore();
-  EXPECT_TRUE(res.complete);
-  // init, p0-moved, p1-moved, p0p1, p1p0  => 5 distinct states.
-  EXPECT_EQ(res.num_states, 5u);
+  for (int workers : {1, 2, 3}) {
+    explorer<toy_machine>::options opt;
+    opt.workers = workers;
+    explorer<toy_machine> e(1, naming_assignment::identity(2, 1),
+                            {toy_machine{1, 0}, toy_machine{2, 0}}, opt);
+    auto res = e.explore();
+    EXPECT_TRUE(res.complete) << "workers=" << workers;
+    // init, p0-moved, p1-moved, p0p1, p1p0  => 5 distinct states.
+    EXPECT_EQ(res.num_states, 5u) << "workers=" << workers;
+  }
 }
 
 TEST(ExplorerTest, FindsBadStateWithSchedule) {
-  explorer<toy_machine> e(1, naming_assignment::identity(2, 1),
-                          {toy_machine{1, 0}, toy_machine{2, 0}});
-  auto res = e.explore([](const global_state<toy_machine>& s) {
-    return s.regs[0] == 2;  // "bad": register holds 2
-  });
-  ASSERT_TRUE(res.safety_violated());
-  // The returned schedule, replayed, must produce the bad state.
-  EXPECT_EQ(res.bad_schedule, std::vector<int>{1});
+  for (int workers : {1, 2}) {
+    explorer<toy_machine>::options opt;
+    opt.workers = workers;
+    explorer<toy_machine> e(1, naming_assignment::identity(2, 1),
+                            {toy_machine{1, 0}, toy_machine{2, 0}}, opt);
+    auto res = e.explore([](const global_state<toy_machine>& s) {
+      return s.regs[0] == 2;  // "bad": register holds 2
+    });
+    ASSERT_TRUE(res.safety_violated()) << "workers=" << workers;
+    // The returned schedule, replayed, must produce the bad state.
+    EXPECT_EQ(res.bad_schedule, std::vector<int>{1}) << "workers=" << workers;
+    // The run stops right after the violating state: root, then p0's
+    // successor, then p1's (the bad one).
+    EXPECT_EQ(res.num_states, 3u) << "workers=" << workers;
+  }
 }
 
 TEST(ExplorerTest, MaxStatesCapsExploration) {
-  explorer<toy_machine>::options opt;
-  opt.max_states = 2;
-  explorer<toy_machine> e(1, naming_assignment::identity(2, 1),
-                          {toy_machine{1, 0}, toy_machine{2, 0}}, opt);
-  auto res = e.explore();
-  EXPECT_FALSE(res.complete);
-  EXPECT_LE(res.num_states, 3u);  // cap checked per expansion wave
+  for (int workers : {1, 2}) {
+    explorer<toy_machine>::options opt;
+    opt.workers = workers;
+    opt.max_states = 2;
+    explorer<toy_machine> e(1, naming_assignment::identity(2, 1),
+                            {toy_machine{1, 0}, toy_machine{2, 0}}, opt);
+    auto res = e.explore();
+    EXPECT_FALSE(res.complete) << "workers=" << workers;
+    // The cap is checked before each parent's successors go in: the root's
+    // two successors land, the next parent stops the run.
+    EXPECT_EQ(res.num_states, 3u) << "workers=" << workers;
+  }
+}
+
+// The parallel_explorer name (kept for callers that still use it) must build
+// and run as the same engine at every worker count.
+TEST(ParallelExplorerTest, EnumeratesInterleavingsExactly) {
+  for (int workers : {1, 2, 3}) {
+    parallel_explorer<toy_machine>::options opt;
+    opt.workers = workers;
+    parallel_explorer<toy_machine> e(1, naming_assignment::identity(2, 1),
+                                     {toy_machine{1, 0}, toy_machine{2, 0}},
+                                     opt);
+    auto res = e.explore();
+    EXPECT_TRUE(res.complete) << "workers=" << workers;
+    EXPECT_EQ(res.num_states, 5u) << "workers=" << workers;
+  }
+}
+
+TEST(ParallelExplorerTest, FindsBadStateWithSchedule) {
+  for (int workers : {1, 2}) {
+    parallel_explorer<toy_machine>::options opt;
+    opt.workers = workers;
+    parallel_explorer<toy_machine> e(1, naming_assignment::identity(2, 1),
+                                     {toy_machine{1, 0}, toy_machine{2, 0}},
+                                     opt);
+    auto res = e.explore([](const global_state<toy_machine>& s) {
+      return s.regs[0] == 2;  // "bad": register holds 2
+    });
+    ASSERT_TRUE(res.safety_violated()) << "workers=" << workers;
+    EXPECT_EQ(res.bad_schedule, std::vector<int>{1}) << "workers=" << workers;
+  }
 }
 
 // ---------------------------------------------------------------------------

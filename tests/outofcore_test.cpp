@@ -56,12 +56,11 @@ void expect_reports_identical(const verify_report& mem,
 
 TEST(OutOfCoreVerifyTest, SpillMatchesInMemoryOnBothEngines) {
   // m = 5, n = 2 exhausts >100k states (~1 MB of compressed arena), so a
-  // two-page resident budget forces real spilling on both engines.
+  // two-page resident budget forces real spilling on both back ends.
   const model_config<anon_mutex> cfg{5, identity_naming(2, 5), machines(5, 2)};
-  for (const bool parallel : {false, true}) {
+  for (const int workers : {1, 3}) {
     verify_options opt;
-    opt.engine = parallel ? verify_engine::parallel_bfs : verify_engine::bfs;
-    opt.workers = parallel ? 3 : 1;
+    opt.workers = workers;
     const auto mem = verify_config(cfg, two_in_cs, opt);
     ASSERT_TRUE(mem.complete);
     EXPECT_FALSE(mem.violated);
@@ -70,7 +69,7 @@ TEST(OutOfCoreVerifyTest, SpillMatchesInMemoryOnBothEngines) {
     opt.spill_budget_bytes = 2 * byte_arena::kPageSize;
     const auto sp = verify_config(cfg, two_in_cs, opt);
     expect_reports_identical(mem, sp);
-    EXPECT_GT(sp.spill_pages, 0u) << "parallel=" << parallel;
+    EXPECT_GT(sp.spill_pages, 0u) << "workers=" << workers;
     EXPECT_EQ(sp.spill_bytes, sp.spill_pages * byte_arena::kPageSize);
   }
 }
@@ -80,10 +79,9 @@ TEST(OutOfCoreVerifyTest, SpillMatchesInMemoryOnViolation) {
   // report the exact same counterexample schedule. The budget is set below a
   // single page so any sealed page spills immediately.
   const model_config<anon_mutex> cfg{2, identity_naming(3, 2), machines(2, 3)};
-  for (const bool parallel : {false, true}) {
+  for (const int workers : {1, 2}) {
     verify_options opt;
-    opt.engine = parallel ? verify_engine::parallel_bfs : verify_engine::bfs;
-    opt.workers = parallel ? 2 : 1;
+    opt.workers = workers;
     const auto mem = verify_config(cfg, two_in_cs, opt);
     ASSERT_TRUE(mem.violated);
     opt.spill_budget_bytes = 1;

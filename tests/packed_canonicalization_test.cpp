@@ -35,7 +35,6 @@
 #include "modelcheck/explorer.hpp"
 #include "modelcheck/fa_check.hpp"
 #include "modelcheck/mutex_check.hpp"
-#include "modelcheck/parallel_explorer.hpp"
 #include "modelcheck/state_pool.hpp"
 #include "modelcheck/symmetry.hpp"
 
@@ -209,18 +208,16 @@ TEST(PackedCanonicalizationTest, ParallelWorkersBitIdenticalPackedOn) {
     const std::string tag = "workers=" + std::to_string(workers);
     expect_results_identical(
         seq_anon,
-        check_anon_mutex_parallel(3, identity_naming(2, 3), {1, 2}, workers,
-                                  2'000'000, true),
+        check_anon_mutex(3, identity_naming(2, 3), {1, 2}, 2'000'000, true,
+                         workers),
         "anon " + tag);
     expect_results_identical(
         seq_fa,
-        check_fa_mutex_parallel(3, identity_naming(3, 3), workers, 2'000'000,
-                                true),
+        check_fa_mutex(3, identity_naming(3, 3), 2'000'000, true, workers),
         "fa " + tag);
     expect_results_identical(
         seq_dead,
-        check_fa_mutex_parallel(4, identity_naming(2, 4), workers, 2'000'000,
-                                true),
+        check_fa_mutex(4, identity_naming(2, 4), 2'000'000, true, workers),
         "fa deadlock " + tag);
   }
 }

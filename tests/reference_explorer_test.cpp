@@ -1,7 +1,7 @@
-// Both BFS engines diffed against the naive reference explorer
-// (reference_explorer.hpp), cell by cell: sequential and parallel at
-// 1/2/4/8 workers, each with symmetry reduction on and off and the
-// compressed row arena on and off.
+// The BFS explorer diffed against the naive reference explorer
+// (reference_explorer.hpp), cell by cell: 1/2/4/8 workers (the workers = 1
+// and workers > 1 seen-table back ends), each with symmetry reduction on
+// and off and the compressed row arena on and off.
 //
 // Per cell and configuration the engine must reproduce what the oracle
 // derives from the raw state graph:
@@ -17,7 +17,8 @@
 //     predicate) replay on the raw semantics to a state of the right kind,
 //     at that state's BFS depth; without symmetry they are the oracle's own
 //     BFS-tree paths. Every cell with the same symmetry setting reports the
-//     same schedules.
+//     same schedules, and its safety probe stops at the same state and edge
+//     count.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -30,7 +31,6 @@
 #include "modelcheck/explorer.hpp"
 #include "modelcheck/fa_check.hpp"
 #include "modelcheck/mutex_check.hpp"
-#include "modelcheck/parallel_explorer.hpp"
 #include "modelcheck/symmetry.hpp"
 #include "reference_explorer.hpp"
 
@@ -74,15 +74,12 @@ mutex_predicates<fa_mutex> predicates(const fa_mutex*) {
 
 /// One engine configuration.
 struct cell {
-  bool parallel;
   int workers;
   bool symmetry;
   bool compress;
 
   std::string name() const {
-    return std::string(parallel ? "parallel workers=" +
-                                      std::to_string(workers)
-                                : "sequential") +
+    return "workers=" + std::to_string(workers) +
            " symmetry=" + std::to_string(symmetry) +
            " compress=" + std::to_string(compress);
   }
@@ -91,10 +88,8 @@ struct cell {
 std::vector<cell> all_cells() {
   std::vector<cell> out;
   for (const bool sym : {false, true})
-    for (const bool comp : {false, true}) {
-      out.push_back({false, 1, sym, comp});
-      for (const int w : {1, 2, 4, 8}) out.push_back({true, w, sym, comp});
-    }
+    for (const bool comp : {false, true})
+      for (const int w : {1, 2, 4, 8}) out.push_back({w, sym, comp});
   return out;
 }
 
@@ -148,11 +143,13 @@ std::uint64_t replay_index(const oracle<Machine>& o,
 struct reported_schedules {
   bool set = false;
   std::vector<int> stuck, bad;
+  std::uint64_t bad_states = 0;  ///< states stored when the probe stopped
+  std::uint64_t bad_edges = 0;   ///< successors generated by then
 };
 
-template <class Machine, class Engine>
-void expect_cell_matches(const oracle<Machine>& o, Engine& e, const cell& c,
-                         reported_schedules& agreed) {
+template <class Machine>
+void expect_cell_matches(const oracle<Machine>& o, explorer<Machine>& e,
+                         const cell& c, reported_schedules& agreed) {
   const std::string what = c.name();
   const reference_explorer<Machine>& ref = o.ref;
 
@@ -210,13 +207,18 @@ void expect_cell_matches(const oracle<Machine>& o, Engine& e, const cell& c,
       << what;
   if (!c.symmetry) {
     EXPECT_EQ(probe.bad_schedule, ref.schedule_to(o.first_cs)) << what;
+    // The run stops right after the first CS state in discovery order.
+    EXPECT_EQ(probe.num_states, o.first_cs + 1) << what;
   }
 
   if (!agreed.set) {
-    agreed = {true, res.stuck_schedule, probe.bad_schedule};
+    agreed = {true, res.stuck_schedule, probe.bad_schedule, probe.num_states,
+              probe.num_edges};
   } else {
     EXPECT_EQ(res.stuck_schedule, agreed.stuck) << what;
     EXPECT_EQ(probe.bad_schedule, agreed.bad) << what;
+    EXPECT_EQ(probe.num_states, agreed.bad_states) << what;
+    EXPECT_EQ(probe.num_edges, agreed.bad_edges) << what;
   }
 }
 
@@ -234,20 +236,12 @@ void expect_all_cells_match(int m, const naming_assignment& naming,
             0u);
   reported_schedules agreed[2];
   for (const cell& c : all_cells()) {
-    if (c.parallel) {
-      typename parallel_explorer<Machine>::options opt;
-      opt.workers = c.workers;
-      opt.symmetry = c.symmetry;
-      opt.compress_arena = c.compress;
-      parallel_explorer<Machine> e(m, naming, initial, opt);
-      expect_cell_matches(o, e, c, agreed[c.symmetry]);
-    } else {
-      typename explorer<Machine>::options opt;
-      opt.symmetry = c.symmetry;
-      opt.compress_arena = c.compress;
-      explorer<Machine> e(m, naming, initial, opt);
-      expect_cell_matches(o, e, c, agreed[c.symmetry]);
-    }
+    typename explorer<Machine>::options opt;
+    opt.workers = c.workers;
+    opt.symmetry = c.symmetry;
+    opt.compress_arena = c.compress;
+    explorer<Machine> e(m, naming, initial, opt);
+    expect_cell_matches(o, e, c, agreed[c.symmetry]);
   }
 }
 

@@ -29,7 +29,6 @@
 #include "mem/naming.hpp"
 #include "modelcheck/explorer.hpp"
 #include "modelcheck/mutex_check.hpp"
-#include "modelcheck/parallel_explorer.hpp"
 #include "modelcheck/state_pool.hpp"
 #include "modelcheck/symmetry.hpp"
 #include "modelcheck/systematic.hpp"
@@ -380,10 +379,10 @@ TEST(SymmetryReductionTest, ParallelEngineBitIdenticalUnderReduction) {
     explorer<anon_mutex> seq(c.m, naming, procs, so);
     const auto rs = seq.explore(two_in_cs);
     for (int workers : {1, 2, 4}) {
-      parallel_explorer<anon_mutex>::options po;
+      explorer<anon_mutex>::options po;
       po.workers = workers;
       po.symmetry = true;
-      parallel_explorer<anon_mutex> par(c.m, naming, procs, po);
+      explorer<anon_mutex> par(c.m, naming, procs, po);
       const auto rp = par.explore(two_in_cs);
       EXPECT_EQ(rp.safety_violated(), rs.safety_violated());
       EXPECT_EQ(rp.bad_schedule, rs.bad_schedule);
